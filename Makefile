@@ -16,19 +16,22 @@ race:
 	$(GO) test -race ./...
 
 ## audit: full-trace invariant audit — the seed workload under the dynamic
-## scheme with every event checked and every consolidation Apply verified
-## against a cold matrix rebuild. Exits non-zero on the first violation.
+## scheme on the dense kernel (-sparse 0) with every event checked and
+## every consolidation Apply verified against a cold matrix rebuild. Exits
+## non-zero on the first violation.
 audit:
-	$(GO) run ./cmd/dvmpsim -audit=event -spare
+	$(GO) run ./cmd/dvmpsim -audit=event -spare -sparse 0
 
 ## sparse-audit: the candidate-set differential gate — the same full-trace
-## audit with the sparse engine driving placement, which adds the
-## sparse-vs-dense check (every sparse Apply replayed against a dense
-## matrix, trackers compared bit-for-bit), then the mirrored differential
-## sweep in internal/audit (dense and sparse engines fed identical
-## randomized operation streams across multiple seeds).
+## audit with the default engine (the persistent sparse engine) driving
+## placement, which adds the sparse-vs-dense check (every sparse Apply
+## replayed against a dense matrix, trackers compared bit-for-bit, and each
+## period the persistent engine compared against a fresh sparse build and a
+## dense one), then the mirrored differential sweep in internal/audit
+## (dense and sparse engines fed identical randomized operation streams
+## across multiple seeds).
 sparse-audit:
-	$(GO) run ./cmd/dvmpsim -audit=event -spare -sparse 64
+	$(GO) run ./cmd/dvmpsim -audit=event -spare
 	$(GO) test ./internal/audit -run 'Sparse' -count=1 -v
 
 ## resume-audit: the crash-safety gate — run the seed workload under the
@@ -102,12 +105,13 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
 
-## bench-smoke: run every Kernel*, Engine*, and Sweep micro-benchmark
+## bench-smoke: run every Kernel*, ConsolidatePersistent, Engine*, and
+## Sweep micro-benchmark
 ## exactly once. Not a measurement — a liveness gate: benchmarks bit-rot
 ## silently because `go test` never executes them, so check runs each for
 ## one iteration.
 bench-smoke:
-	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkKernel' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench '^Benchmark(Kernel|ConsolidatePersistent)' -benchtime 1x
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkEngine' -benchtime 1x
 	$(GO) test ./internal/exp -run '^$$' -bench '^BenchmarkSweep' -benchtime 1x
 

@@ -312,7 +312,7 @@ func placedBenchState(pmCount, nVMs int, scatter bool) (*core.Context, []*cluste
 		if !placed {
 			continue
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vm.StartTime = float64(rng.Intn(7000))
 		vms = append(vms, vm)
 	}

@@ -1092,7 +1092,7 @@ func benchState(pmCount, nVMs int, seed int64) (*core.Context, []*cluster.VM) {
 		if !placed {
 			continue
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vm.StartTime = float64(rng.Intn(7000))
 		vms = append(vms, vm)
 	}
@@ -1124,7 +1124,7 @@ func benchStateLarge(pmCount, nVMs int, seed int64) (*core.Context, []*cluster.V
 		if err := pm.Host(vm); err != nil {
 			panic(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vm.StartTime = float64(rng.Intn(7000))
 		vms = append(vms, vm)
 	}

@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -62,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
 		timed     = fs.Bool("timed", false, "use the timed pre-copy migration model")
 		warm      = fs.Int("warm", 0, "power on N machines before the first arrival")
-		sparseK   = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse placement engine (0 = dense)")
+		sparseK   = fs.Int("sparse", core.DefaultCandidateK, "candidate budget K for the dynamic scheme's sparse placement engine (default on; 0 = the dense kernel, bit-identical decisions)")
 		cells     = fs.Int("cells", 1, "partition the fleet into N cells (must match the recording run)")
 		kernelW   = fs.Int("kernel-workers", 0, "kernel goroutine bound for the fallback scheme (0 = auto)")
 		tracePath = fs.String("trace", "", "write the replay's JSONL run trace to this file")
@@ -72,6 +73,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// -sparse defaults on, so only an explicit setting can be a mistake
+	// on a scheme without a placement engine to configure.
+	sparseSet := false
+	fs.Visit(func(f *flag.Flag) { sparseSet = sparseSet || f.Name == "sparse" })
 	switch {
 	case *decPath == "":
 		return fmt.Errorf("-decisions is required: record a log with dvmpsim -decisions first")
@@ -116,12 +121,12 @@ func run(args []string, out io.Writer) error {
 	}
 	if d, isDyn := policy.DynamicOf(fallback); !isDyn {
 		switch {
-		case *sparseK > 0:
+		case sparseSet:
 			return fmt.Errorf("-sparse applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 		case *kernelW != 0:
 			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 		}
-	} else if *sparseK > 0 {
+	} else {
 		d.Opts.CandidateK = *sparseK
 	}
 

@@ -77,28 +77,36 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceSparse replays the golden scenario through the sparse
-// candidate-set engine (-sparse). The engine's contract is bit-identical
-// decisions, so the canonical trace must byte-match the SAME golden file
-// the dense run pins — every placement, migration, boot, and spare plan
+// TestGoldenTraceSparse is the dense-vs-sparse differential on the golden
+// scenario: the dense kernel (-sparse 0) and the candidate-set engine at
+// an explicit budget (-sparse 64) must each byte-match the SAME golden file
+// the default run pins — every placement, migration, boot, and spare plan
 // included. A single diverging decision anywhere in the 325-event stream
 // fails the byte compare.
 func TestGoldenTraceSparse(t *testing.T) {
-	got := canonicalTrace(t, "-sparse", "64")
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
 	if err != nil {
 		t.Fatalf("missing golden (run TestGoldenTrace with -update first): %v", err)
 	}
+	for _, k := range []string{"0", "64"} {
+		matchGolden(t, "-sparse "+k, canonicalTrace(t, "-sparse", k), want)
+	}
+}
+
+// matchGolden fails at the first line where got differs from the golden
+// trace want, naming the engine flags that produced it.
+func matchGolden(t *testing.T, flags string, got, want []byte) {
+	t.Helper()
 	if !bytes.Equal(got, want) {
 		gl := bytes.Split(got, []byte("\n"))
 		wl := bytes.Split(want, []byte("\n"))
 		n := min(len(gl), len(wl))
 		for i := 0; i < n; i++ {
 			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("sparse trace diverged from dense golden at line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
+				t.Fatalf("%s trace diverged from the golden at line %d:\ngot:  %s\nwant: %s", flags, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("sparse trace diverged from dense golden: %d lines vs %d", len(gl), len(wl))
+		t.Fatalf("%s trace diverged from the golden: %d lines vs %d", flags, len(gl), len(wl))
 	}
 }
 

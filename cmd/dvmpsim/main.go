@@ -11,10 +11,11 @@
 //	        [-decisions dec.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -sparse K routes the dynamic scheme's placement and consolidation
-// through the candidate-set engine with budget K (see README "Sparse
-// placement"); decisions — and therefore traces — are bit-identical to
-// the dense kernel, which TestGoldenTraceSparse pins.
+// -sparse K sets the candidate budget of the dynamic scheme's placement
+// and consolidation engine (see README "Sparse placement"). The
+// candidate-set engine at K = 64 is the default; -sparse 0 selects the
+// dense kernel. Decisions — and therefore traces — are bit-identical
+// either way, which TestGoldenTrace and TestGoldenTraceSparse pin.
 //
 // -kernel-workers W bounds the goroutines the dynamic scheme's in-run
 // kernels fan out on (matrix builds, candidate sync, consolidation
@@ -73,6 +74,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -97,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with cmd/counterfact")
 		metrPath  = fs.String("metrics", "", "write the run's metrics registry as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload / random-scheme seed")
-		sparseK   = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse placement engine (0 = dense)")
+		sparseK   = fs.Int("sparse", core.DefaultCandidateK, "candidate budget K for the dynamic scheme's sparse placement engine (default on; 0 = the dense kernel, bit-identical decisions)")
 		cells     = fs.Int("cells", 1, "partition the fleet into N cells under the shared-clock orchestrator (1 = monolithic engine; results are bit-identical for any N)")
 		kernelW   = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on (0 = auto-size to GOMAXPROCS under the shared budget, 1 = serial; results are bit-identical for any value)")
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
@@ -119,6 +121,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// -sparse defaults on, so only an explicit setting can be a mistake
+	// on a scheme without a placement engine to configure.
+	sparseSet := false
+	fs.Visit(func(f *flag.Flag) { sparseSet = sparseSet || f.Name == "sparse" })
 
 	// Uniform flag validation: every bad value dies here with one line,
 	// before any file is created or any work starts.
@@ -156,7 +162,7 @@ func run(args []string, out io.Writer) error {
 	// so dynamic-adaptive qualifies.
 	if _, isDyn := policy.DynamicOf(placer); !isDyn {
 		switch {
-		case *sparseK > 0:
+		case sparseSet:
 			return fmt.Errorf("-sparse applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 		case *kernelW != 0:
 			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
@@ -189,7 +195,7 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	if d, ok := policy.DynamicOf(placer); ok && *sparseK > 0 {
+	if d, ok := policy.DynamicOf(placer); ok {
 		d.Opts.CandidateK = *sparseK
 	}
 

@@ -19,9 +19,10 @@
 // runs (default GOMAXPROCS; must be positive); the merged report — and
 // therefore the -o JSON — is byte-identical for every worker count, so a
 // sweep's output can be compared across machines regardless of their core
-// counts. -sparse K routes the dynamic scheme through the candidate-set
-// placement engine with budget K (bit-identical decisions, see README
-// "Sparse placement"); 0 keeps the dense kernel. -cells C partitions every
+// counts. -sparse K sets the candidate budget of the dynamic scheme's
+// placement engine: the candidate-set engine at K = 64 by default, the
+// dense kernel with -sparse 0 (bit-identical decisions, see README
+// "Sparse placement"). -cells C partitions every
 // run's fleet into C cells advanced by the shared-clock orchestrator (see
 // README "Multi-cell runs"); results are bit-identical to -cells 1, so the
 // report JSON is byte-identical across cell counts.
@@ -64,6 +65,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -86,7 +88,7 @@ func run(args []string, out io.Writer) error {
 		nodes       = fs.Int("nodes", 100, "fleet size (Table II fast:slow mix is preserved)")
 		jobCount    = fs.Int("jobs", 0, "truncate each seed's week to the first N jobs (0 = all)")
 		useSpare    = fs.Bool("spare", true, "attach the spare-server controller to the dynamic scheme")
-		sparseK     = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse engine (0 = dense)")
+		sparseK     = fs.Int("sparse", core.DefaultCandidateK, "candidate budget K for the dynamic scheme's sparse placement engine (default on; 0 = the dense kernel, bit-identical decisions)")
 		cells       = fs.Int("cells", 1, "partition each run's fleet into this many cells (bit-identical results; 1 = monolithic)")
 		kernelW     = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on per run (0 = auto under the shared budget, 1 = serial; bit-identical results)")
 		outPath     = fs.String("o", "", "write the merged report as JSON to this file (- for stdout)")
@@ -98,6 +100,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// -sparse defaults on, so only an explicit setting can be a mistake
+	// on a scheme without a placement engine to configure.
+	sparseSet := false
+	fs.Visit(func(f *flag.Flag) { sparseSet = sparseSet || f.Name == "sparse" })
 	switch {
 	case *reps < 1:
 		return fmt.Errorf("-reps must be positive (got %d)", *reps)
@@ -147,7 +153,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if !anyDyn {
 		switch {
-		case *sparseK > 0:
+		case sparseSet:
 			return fmt.Errorf("-sparse applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))
 		case *kernelW != 0:
 			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))

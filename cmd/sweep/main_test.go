@@ -154,7 +154,7 @@ func TestRunSmallSweep(t *testing.T) {
 }
 
 // TestRunSparseReportMatchesDense runs the same tiny dynamic sweep twice —
-// dense and with -sparse — and requires byte-identical report JSON: the
+// dense (-sparse 0) and sparse — and requires byte-identical report JSON: the
 // candidate-set engine must not change a single decision, so energy,
 // migration, and queueing aggregates all match exactly.
 func TestRunSparseReportMatchesDense(t *testing.T) {
@@ -176,7 +176,7 @@ func TestRunSparseReportMatchesDense(t *testing.T) {
 		}
 		return data
 	}
-	dense := report("dense.json")
+	dense := report("dense.json", "-sparse", "0")
 	sparse := report("sparse.json", "-sparse", "64")
 	if !bytes.Equal(dense, sparse) {
 		t.Fatal("sparse sweep report differs from dense; the engines diverged")

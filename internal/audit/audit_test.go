@@ -115,10 +115,10 @@ func auditFixture(t *testing.T) (*cluster.Datacenter, []*cluster.VM) {
 	var vms []*cluster.VM
 	for i := 0; i < 4; i++ {
 		vm := cluster.NewVM(cluster.VMID(i+1), vector.New(1, 0.5), 1000, 1000, 0)
-		if err := dc.PM(cluster.PMID(i%3)).Host(vm); err != nil {
+		if err := dc.PM(cluster.PMID(i % 3)).Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vms = append(vms, vm)
 	}
 	return dc, vms

@@ -229,10 +229,14 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 }
 
 // SparseCheck is the sparse-vs-dense differential oracle behind
-// MatrixOptions.CandidateK: it builds the candidate-set engine and a dense
-// kernel matrix over the currently migratable VMs and requires every
-// tracker and the Best decision bit-identical (core.SparseMatrix.DiffDense),
-// plus internal consistency of the incremental candidate index
+// MatrixOptions.CandidateK: it syncs the run's persistent consolidation
+// engine (core.Context.SparseEngine), builds a fresh candidate-set engine
+// and a dense kernel matrix over the currently migratable VMs, and
+// requires every tracker and the Best decision bit-identical across all
+// three (the fresh engine against the dense matrix with
+// core.SparseMatrix.DiffDense, the persistent one against the fresh one
+// with DiffSparse), plus internal
+// consistency of both sparse engines and the incremental candidate index
 // (SelfCheck). It also replays the arrival ranking for a sample of hosted
 // VMs: the candidate shortlist must be the exact prefix of the dense
 // ranking. O(M*N) dense evaluations per run, so it is a per-period check
@@ -263,13 +267,20 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 			// needs the fleet, so it builds concurrently on a fresh
 			// Context (same independence argument as TrackerCheck).
 			var (
-				sm             *core.SparseMatrix
+				live, sm       *core.SparseMatrix
 				dense          *core.Matrix
+				liveErr        error
 				smErr, smCheck error
 				denseErr       error
 			)
 			core.Parallel(
 				func() {
+					// Both sparse engines share the live Context's
+					// candidate index, so they sync one after the other.
+					live, liveErr = ctx.SparseEngine(factors, core.MatrixOptions{CandidateK: k})
+					if liveErr == nil {
+						liveErr = live.SelfCheck()
+					}
 					sm, smErr = core.NewSparseMatrix(ctx, factors, vms, core.MatrixOptions{CandidateK: k})
 					if smErr == nil {
 						smCheck = sm.SelfCheck()
@@ -293,6 +304,12 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 			}
 			if err := sm.DiffDense(dense); err != nil {
 				return fmt.Errorf("sparse vs dense matrix: %w", err)
+			}
+			if liveErr != nil {
+				return fmt.Errorf("persistent sparse engine: %w", liveErr)
+			}
+			if err := live.DiffSparse(sm); err != nil {
+				return fmt.Errorf("persistent vs fresh sparse engine: %w", err)
 			}
 			stride := len(vms)/8 + 1
 			for i := 0; i < len(vms); i += stride {

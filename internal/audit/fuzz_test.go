@@ -116,7 +116,7 @@ func (h *harness) arrival(arg byte) {
 		// here is itself an invariant violation.
 		h.t.Fatalf("BestPlacement chose infeasible PM %d for VM %d: %v", pm.ID, vm.ID, err)
 	}
-	vm.State = cluster.VMRunning
+	h.dc.SetVMState(vm, cluster.VMRunning)
 	vm.StartTime = h.now
 	h.live = append(h.live, vm)
 }
@@ -131,7 +131,7 @@ func (h *harness) departure(arg byte) {
 	if err := host.Evict(vm); err != nil {
 		h.t.Fatalf("departure eviction of VM %d: %v", vm.ID, err)
 	}
-	vm.State = cluster.VMFinished
+	h.dc.SetVMState(vm, cluster.VMFinished)
 	vm.FinishTime = h.now
 	h.finished++
 	h.live = append(h.live[:i], h.live[i+1:]...)
@@ -203,14 +203,14 @@ func (h *harness) failPM(arg byte) {
 		h.removeLive(vm)
 		target := core.BestPlacement(h.ctx.At(h.now), h.factors, vm)
 		if target == nil || target == pm {
-			vm.State = cluster.VMFinished
+			h.dc.SetVMState(vm, cluster.VMFinished)
 			h.finished++
 			continue
 		}
 		if err := target.Host(vm); err != nil {
 			h.t.Fatalf("re-place after failure: %v", err)
 		}
-		vm.State = cluster.VMRunning
+		h.dc.SetVMState(vm, cluster.VMRunning)
 		h.live = append(h.live, vm)
 	}
 	pmOff()

@@ -147,7 +147,7 @@ func (h *sparseHarness) hostOn(s *sparseSide, vm *cluster.VM, id cluster.PMID) {
 	if err := s.dc.PM(id).Host(vm); err != nil {
 		h.t.Fatalf("hosting VM %d on chosen PM %d: %v", vm.ID, id, err)
 	}
-	vm.State = cluster.VMRunning
+	s.dc.SetVMState(vm, cluster.VMRunning)
 	vm.StartTime = h.now
 	s.vms[vm.ID] = vm
 }
@@ -164,7 +164,7 @@ func (h *sparseHarness) departure(arg byte) {
 		if err := s.dc.PM(vm.Host).Evict(vm); err != nil {
 			h.t.Fatalf("departure eviction of VM %d: %v", id, err)
 		}
-		vm.State = cluster.VMFinished
+		s.dc.SetVMState(vm, cluster.VMFinished)
 		delete(s.vms, id)
 	}
 }
@@ -219,8 +219,8 @@ func (h *sparseHarness) failPM(arg byte) {
 				vm.ID, id, placementID(ta), placementID(tb))
 		}
 		if ta == nil || ta.ID == id {
-			va.State = cluster.VMFinished
-			vb.State = cluster.VMFinished
+			h.a.dc.SetVMState(va, cluster.VMFinished)
+			h.b.dc.SetVMState(vb, cluster.VMFinished)
 			delete(h.a.vms, vm.ID)
 			delete(h.b.vms, vm.ID)
 			h.removeLive(vm.ID)
@@ -232,7 +232,8 @@ func (h *sparseHarness) failPM(arg byte) {
 		if err := h.b.dc.PM(tb.ID).Host(vb); err != nil {
 			h.t.Fatalf("re-place after failure (sparse side): %v", err)
 		}
-		va.State, vb.State = cluster.VMRunning, cluster.VMRunning
+		h.a.dc.SetVMState(va, cluster.VMRunning)
+		h.b.dc.SetVMState(vb, cluster.VMRunning)
 	}
 	pmA.State = cluster.PMOff
 	pmB.State = cluster.PMOff

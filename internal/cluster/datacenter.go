@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -22,6 +23,12 @@ type Datacenter struct {
 	// minPerVMPower caches min_j{power_j}, the smallest per-VM active
 	// power across classes, used to normalize eff_j.
 	minPerVMPower float64
+
+	// running lists the VMs in state VMRunning by ascending ID,
+	// maintained by SetVMState, plus stale entries — VMs that have left
+	// VMRunning — awaiting compaction.
+	running []*VM
+	stale   int
 }
 
 // Config describes a data center to build: a list of (class, count) groups
@@ -246,24 +253,67 @@ func (d *Datacenter) RunningVMs() []*VM {
 	return out
 }
 
-// AppendVMsInState appends every placed VM in state st to dst, sorted by
-// ID within the appended span, and returns the extended slice. The
-// allocation-free form of filtering RunningVMs for callers with a
-// reusable backing slice (the consolidation pass rebuilds its column set
-// every control period).
-func (d *Datacenter) AppendVMsInState(dst []*VM, st VMState) []*VM {
-	start := len(dst)
-	for _, p := range d.pms {
-		for _, vm := range p.vms {
-			if vm.State == st {
-				dst = append(dst, vm)
-			}
-		}
+// SetVMState is the single write path for a VM's lifecycle state on a
+// data center: it assigns vm.State and keeps the ID-ordered list of
+// Running VMs (Running) in step. Every state change of a VM the data
+// center hosts must go through it; a direct write to vm.State leaves the
+// list stale.
+//
+// A VM entering VMRunning is appended — the common case, since IDs start
+// running roughly in order — or inserted. A VM leaving stays in the list
+// as a stale entry until the next compaction, which runs once stale
+// entries reach half the list or when Running is read, so a leave costs
+// O(1) amortized instead of a memmove of the list's tail.
+func (d *Datacenter) SetVMState(vm *VM, st VMState) {
+	if vm.State == st {
+		return
 	}
-	// slices.SortFunc rather than sort.Slice: the generic sort keeps this
-	// path allocation-free, which is the method's reason to exist.
-	slices.SortFunc(dst[start:], func(a, b *VM) int { return int(a.ID) - int(b.ID) })
-	return dst
+	was := vm.State
+	vm.State = st
+	switch {
+	case was == VMRunning:
+		d.stale++
+		if 2*d.stale >= len(d.running) {
+			d.compactRunning()
+		}
+	case st == VMRunning:
+		n := len(d.running)
+		if n == 0 || d.running[n-1].ID < vm.ID {
+			d.running = append(d.running, vm)
+			return
+		}
+		i, found := slices.BinarySearchFunc(d.running, vm.ID, func(v *VM, id VMID) int {
+			return cmp.Compare(v.ID, id)
+		})
+		if !found {
+			d.running = slices.Insert(d.running, i, vm)
+			return
+		}
+		// The ID's entry is stale: this VM's own from an earlier spell in
+		// VMRunning, or a departed VM's with a reused ID.
+		if old := d.running[i]; old != vm && old.State == VMRunning {
+			panic(fmt.Sprintf("cluster: two running VMs with ID %d", vm.ID))
+		}
+		d.running[i] = vm
+		d.stale--
+	}
+}
+
+// compactRunning drops the stale entries from the running list.
+func (d *Datacenter) compactRunning() {
+	d.running = slices.DeleteFunc(d.running, func(vm *VM) bool { return vm.State != VMRunning })
+	d.stale = 0
+}
+
+// Running returns the VMs in state VMRunning — the columns of
+// Algorithm 1 — in ascending ID order, maintained by SetVMState. The
+// returned slice is shared and must not be modified or retained across
+// state changes.
+func (d *Datacenter) Running() []*VM {
+	if d.stale > 0 {
+		d.compactRunning()
+	}
+	return d.running
 }
 
 // CountVMs returns how many placed VMs satisfy pred. Iteration order is

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/vector"
@@ -172,6 +174,55 @@ func TestRunningVMsSorted(t *testing.T) {
 	vms := d.RunningVMs()
 	if len(vms) != 3 || vms[0].ID != 3 || vms[1].ID != 7 || vms[2].ID != 9 {
 		t.Errorf("RunningVMs = %v", vms)
+	}
+}
+
+// TestSetVMStateMaintainsRunningList drives VMs in and out of VMRunning
+// in scrambled ID order and checks Running against a filtered, sorted
+// reference: after every change, and once more only at the end, so that
+// re-entries also meet their own stale entries before any compaction.
+func TestSetVMStateMaintainsRunningList(t *testing.T) {
+	ops := []struct {
+		id VMID
+		st VMState
+	}{
+		{9, VMCreating}, {9, VMRunning}, {3, VMRunning}, {12, VMRunning}, {7, VMRunning},
+		{3, VMMigrating}, {1, VMRunning}, {12, VMFinished}, {3, VMRunning}, {5, VMRunning},
+		{7, VMMigrating}, {7, VMRunning}, {9, VMRunning}, {1, VMQueued}, {5, VMFinished},
+		{1, VMRunning}, {4, VMRunning},
+	}
+	for _, checkEach := range []bool{true, false} {
+		d := twoClassDC(t)
+		vms := map[VMID]*VM{}
+		for _, op := range ops {
+			if vms[op.id] == nil {
+				vms[op.id] = NewVM(op.id, vector.New(1, 0.5), 10, 10, 0)
+			}
+		}
+		check := func(step string) {
+			t.Helper()
+			var want []VMID
+			for id, vm := range vms {
+				if vm.State == VMRunning {
+					want = append(want, id)
+				}
+			}
+			slices.Sort(want)
+			var got []VMID
+			for _, vm := range d.Running() {
+				got = append(got, vm.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Running = %v, want %v", step, got, want)
+			}
+		}
+		for _, op := range ops {
+			d.SetVMState(vms[op.id], op.st)
+			if checkEach {
+				check(fmt.Sprintf("VM %d -> %s", op.id, op.st))
+			}
+		}
+		check("end")
 	}
 }
 

@@ -54,7 +54,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 	if _, err := Consolidate(ctx, factors, params); err != nil {
 		t.Fatal(err)
 	}
-	nVMs := len(ctx.vmBuf)
+	nVMs := len(ctx.DC.Running())
 	if nVMs == 0 {
 		t.Fatal("bench state has no running VMs")
 	}

@@ -78,6 +78,11 @@ type candIndex struct {
 
 	// dirty holds sync's per-span stale-PM lists (parallel path scratch).
 	dirty [][]int32
+
+	// seq numbers SparseMatrix Applies across every engine sharing the
+	// index, so a shape's per-Apply scratch (candShape.seq) can never be
+	// mistaken for another engine's.
+	seq uint64
 }
 
 // pmStamp is the staleness fingerprint of one PM. Version covers every
@@ -122,6 +127,7 @@ type candGroup struct {
 
 // candShape is the per-demand-shape grouping.
 type candShape struct {
+	id       int32 // position in candIndex.shapeList
 	demand   vector.V
 	groups   []candGroup
 	byKey    map[candKey]int32
@@ -335,6 +341,7 @@ func (x *candIndex) shapeFor(demand vector.V) *candShape {
 		return sh
 	}
 	sh := &candShape{
+		id:      int32(len(x.shapeList)),
 		demand:  demand.Clone(),
 		byKey:   make(map[candKey]int32, 16),
 		groupOf: make([]int32, len(x.pms)),

@@ -26,7 +26,7 @@ func Example() {
 		if err := dc.PM(pm).Host(vm); err != nil {
 			panic(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 	}
 	place(1, 0, 2, 2)
 	place(2, 1, 2, 2)
@@ -62,7 +62,7 @@ func ExampleBestPlacement() {
 	if err := dc.PM(1).Host(busy); err != nil {
 		panic(err)
 	}
-	busy.State = cluster.VMRunning
+	dc.SetVMState(busy, cluster.VMRunning)
 
 	arrival := cluster.NewVM(11, vector.New(1, 0.5), 3600, 3600, 0)
 	pm := core.BestPlacement(&core.Context{DC: dc, Now: 0}, core.DefaultFactors(), arrival)

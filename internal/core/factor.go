@@ -53,17 +53,19 @@ type Context struct {
 	classes map[*cluster.PMClass]*classInfo
 
 	// Reusable hot-path scratch (scratch.go): mscratch backs matrix
-	// builds via checkout, arr backs the per-arrival argmax, vmBuf backs
-	// the consolidation pass's column collection. Their presence is why a
-	// Context is not safe for concurrent use.
+	// builds via checkout, arr backs the per-arrival argmax. Their
+	// presence is why a Context is not safe for concurrent use.
 	mscratch *matrixScratch
 	arr      arrivalScratch
-	vmBuf    []*cluster.VM
 
 	// cand is the sparse candidate index (candidates.go), built lazily on
 	// the first placement evaluated with MatrixOptions.CandidateK > 0 and
 	// kept in sync with the fleet via per-PM version stamps.
 	cand *candIndex
+
+	// sparse is the persistent consolidation engine (sparse.go), built
+	// on the first sparse consolidation pass and fed deltas afterwards.
+	sparse *SparseMatrix
 }
 
 // classInfo holds the per-class constants of Section III.B.4.

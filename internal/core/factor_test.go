@@ -25,12 +25,12 @@ func smallDC() *cluster.Datacenter {
 	return dc
 }
 
-func mustHost(t *testing.T, pm *cluster.PM, vm *cluster.VM) {
+func mustHost(t *testing.T, dc *cluster.Datacenter, pm *cluster.PM, vm *cluster.VM) {
 	t.Helper()
 	if err := pm.Host(vm); err != nil {
 		t.Fatal(err)
 	}
-	vm.State = cluster.VMRunning
+	dc.SetVMState(vm, cluster.VMRunning)
 }
 
 func TestResourceFactor(t *testing.T) {
@@ -43,7 +43,7 @@ func TestResourceFactor(t *testing.T) {
 		t.Errorf("fitting VM p_res = %g, want 1", got)
 	}
 	filler := cluster.NewVM(2, vector.New(4, 4), 1000, 1000, 0)
-	mustHost(t, pm, filler)
+	mustHost(t, dc, pm, filler)
 	if got := (ResourceFactor{}).Probability(ctx, vm, pm, false); got != 0 {
 		t.Errorf("non-fitting VM p_res = %g, want 0", got)
 	}
@@ -69,7 +69,7 @@ func TestVirtualizationFactor(t *testing.T) {
 	// Once hosted elsewhere, a migration pays T_cre + T_mig = 70
 	// (Eq. 3): ((700-70)/700)^2 = 0.81.
 	other := dc.PM(1)
-	mustHost(t, other, vm)
+	mustHost(t, dc, other, vm)
 	if got := f.Probability(ctx, vm, pm, false); math.Abs(got-0.81) > 1e-12 {
 		t.Errorf("migration p_vir = %g, want 0.81", got)
 	}
@@ -79,7 +79,7 @@ func TestVirtualizationFactor(t *testing.T) {
 
 	// Remaining time exactly equals overhead: no chance to migrate.
 	vm2 := cluster.NewVM(2, vector.New(1, 1), 70, 70, 0)
-	mustHost(t, dc.PM(2), vm2)
+	mustHost(t, dc, dc.PM(2), vm2)
 	if got := f.Probability(ctx, vm2, pm, false); got != 0 {
 		t.Errorf("boundary p_vir = %g, want 0", got)
 	}
@@ -106,8 +106,8 @@ func TestVirtualizationFactorQuadraticPenalty(t *testing.T) {
 	ctx := &Context{DC: dc, Now: 0}
 	long := cluster.NewVM(1, vector.New(1, 1), 7000, 7000, 0)
 	short := cluster.NewVM(2, vector.New(1, 1), 140, 140, 0)
-	mustHost(t, dc.PM(1), long) // hosted -> migration overhead applies
-	mustHost(t, dc.PM(1), short)
+	mustHost(t, dc, dc.PM(1), long) // hosted -> migration overhead applies
+	mustHost(t, dc, dc.PM(1), short)
 	pl := f.Probability(ctx, long, pm, false)
 	ps := f.Probability(ctx, short, pm, false)
 	linLong, linShort := (7000.0-70)/7000, (140.0-70)/140
@@ -144,7 +144,7 @@ func TestEfficiencyFactorLevels(t *testing.T) {
 
 	// Fill with 5 minimal VMs: prospective level 6 -> 6/8.
 	for i := cluster.VMID(10); i < 15; i++ {
-		mustHost(t, fast, cluster.NewVM(i, rmin, 1000, 1000, 0))
+		mustHost(t, dc, fast, cluster.NewVM(i, rmin, 1000, 1000, 0))
 	}
 	if got := f.Probability(ctx, vm, fast, false); math.Abs(got-6.0/8) > 1e-12 {
 		t.Errorf("busy-PM p_eff = %g, want 6/8", got)
@@ -188,7 +188,7 @@ func TestJointProductOfFactors(t *testing.T) {
 	pm := dc.PM(0)
 	pm.Reliability = 0.9
 	vm := cluster.NewVM(1, dc.RMin(), 700, 700, 0)
-	mustHost(t, dc.PM(1), vm) // hosted elsewhere -> full migration overhead
+	mustHost(t, dc, dc.PM(1), vm) // hosted elsewhere -> full migration overhead
 	want := 1.0 * 0.81 * 0.9 * (1.0 / 8)
 	if got := Joint(ctx, DefaultFactors(), vm, pm, false); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Joint = %g, want %g", got, want)
@@ -207,7 +207,7 @@ func TestFactorNames(t *testing.T) {
 func TestProspectiveUtilizationMatchesVector(t *testing.T) {
 	dc := smallDC()
 	pm := dc.PM(0)
-	mustHost(t, pm, cluster.NewVM(1, vector.New(2, 3), 100, 100, 0))
+	mustHost(t, dc, pm, cluster.NewVM(1, vector.New(2, 3), 100, 100, 0))
 	d := vector.New(1, 0.5)
 	want := vector.Utilization(pm.Used.Add(d), pm.Class.Capacity)
 	if got := prospectiveUtilization(pm, d); math.Abs(got-want) > 1e-12 {

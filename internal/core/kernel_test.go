@@ -42,7 +42,7 @@ func tableIIState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cl
 		if !placed {
 			continue
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vm.StartTime = float64(rng.Intn(7000))
 		vms = append(vms, vm)
 	}
@@ -276,7 +276,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 			if err := host.Host(vm); err != nil {
 				t.Fatal(err)
 			}
-			vm.State = cluster.VMRunning
+			dc.SetVMState(vm, cluster.VMRunning)
 			// The failure model decays per-PM reliability; zero means
 			// the current placement's joint probability is zero.
 			host.Reliability = 0

@@ -88,6 +88,12 @@ type Matrix struct {
 // per-column bookkeeping stays a handful of comparisons.
 const topK = 4
 
+// DefaultCandidateK is the candidate budget the production dynamic scheme
+// runs with (policy.NewDynamic and the -sparse flags' default): large
+// enough that the Table II fleet and its 1k-PM scalings never overflow a
+// shape's score groups.
+const DefaultCandidateK = 64
+
 // MatrixOptions tunes matrix construction.
 type MatrixOptions struct {
 	// DisableKernel forces every cell through the generic Factor
@@ -121,7 +127,8 @@ type MatrixOptions struct {
 	// is still scanned exactly, and the overflow is counted on
 	// ctx.Obs ("core.sparse_shape_overflow") so a misconfigured K is
 	// visible. Factor programs other than the canonical four fall back to
-	// the dense path. Zero keeps the dense engine everywhere.
+	// the dense path. Zero keeps the dense engine everywhere; the
+	// production scheme (policy.NewDynamic) sets DefaultCandidateK.
 	CandidateK int
 
 	// Workers bounds the goroutines the in-run kernels fan out on

@@ -47,7 +47,7 @@ func paperExample() (*Context, []Factor, []*cluster.VM) {
 		if err := dc.PM(cluster.PMID(hosts[id])).Host(vm); err != nil {
 			panic(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vms = append(vms, vm)
 	}
 	table := tableFactor{p: map[[2]int]float64{

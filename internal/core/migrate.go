@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -56,13 +57,12 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	ctx.vmBuf = ctx.DC.AppendVMsInState(ctx.vmBuf[:0], cluster.VMRunning)
-	vms := ctx.vmBuf
+	vms := ctx.DC.Running()
 	if len(vms) == 0 {
 		return nil, nil
 	}
 	if opts.CandidateK > 0 && canonicalDefault(factors) {
-		return consolidateSparse(ctx, factors, params, opts, vms)
+		return consolidateSparse(ctx, factors, params, opts)
 	}
 	stop := ctx.Obs.Phase("kernel_build").Time()
 	m, err := NewMatrixWith(ctx, factors, vms, opts)
@@ -101,14 +101,15 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	return moves, nil
 }
 
-// MigratableVMs returns the VMs eligible for Algorithm 1 — state Running;
-// creating and migrating VMs are in transition and queued VMs hold no
-// resources — sorted by ID. The sort holds by construction
-// (AppendVMsInState sorts the appended span): Algorithm 1's tie-breaks
-// are ID-ordered, so the column order must not depend on an upstream
-// implementation accident (the determinism tests assert it).
+// MigratableVMs returns a copy of the VMs eligible for Algorithm 1 —
+// state Running; creating and migrating VMs are in transition and queued
+// VMs hold no resources — sorted by ID. The order holds by construction:
+// cluster.Datacenter.SetVMState keeps the running list ID-ordered, and
+// Algorithm 1's tie-breaks are ID-ordered, so the column order must not
+// depend on an upstream implementation accident (the determinism tests
+// assert it).
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
-	return dc.AppendVMsInState(nil, cluster.VMRunning)
+	return slices.Clone(dc.Running())
 }
 
 // Placement scores one candidate PM for a new VM request.

@@ -59,9 +59,9 @@ func figure1Scenario(t *testing.T) (*cluster.Datacenter, []*cluster.VM) {
 		cluster.NewVM(2, vector.New(2, 2), 100000, 100000, 0),
 		cluster.NewVM(3, vector.New(2, 2), 100000, 100000, 0),
 	}
-	mustHost(t, dc.PM(0), vms[0])
-	mustHost(t, dc.PM(1), vms[1])
-	mustHost(t, dc.PM(1), vms[2])
+	mustHostT(t, dc, 0, vms[0])
+	mustHostT(t, dc, 1, vms[1])
+	mustHostT(t, dc, 1, vms[2])
 	return dc, vms
 }
 
@@ -151,7 +151,7 @@ func TestConsolidateDeterministic(t *testing.T) {
 func TestConsolidateSkipsNonRunningVMs(t *testing.T) {
 	dc, vms := figure1Scenario(t)
 	for _, vm := range vms {
-		vm.State = cluster.VMCreating
+		dc.SetVMState(vm, cluster.VMCreating)
 	}
 	moves, err := Consolidate(&Context{DC: dc, Now: 0}, DefaultFactors(), DefaultParams())
 	if err != nil {
@@ -191,7 +191,7 @@ func mustHostT(t *testing.T, dc *cluster.Datacenter, pm cluster.PMID, vm *cluste
 	if err := dc.PM(pm).Host(vm); err != nil {
 		t.Fatal(err)
 	}
-	vm.State = cluster.VMRunning
+	dc.SetVMState(vm, cluster.VMRunning)
 }
 
 func TestConsolidateJointProbabilityImproves(t *testing.T) {
@@ -291,7 +291,7 @@ func TestQuickConsolidateInvariants(t *testing.T) {
 				if err := pm.Host(vm); err != nil {
 					return false
 				}
-				vm.State = cluster.VMRunning
+				dc.SetVMState(vm, cluster.VMRunning)
 			}
 		}
 		before := dc.NonIdleCount()
@@ -345,7 +345,7 @@ func BenchmarkConsolidate100PMs(b *testing.B) {
 					if err := p.Host(vm); err != nil {
 						b.Fatal(err)
 					}
-					vm.State = cluster.VMRunning
+					dc.SetVMState(vm, cluster.VMRunning)
 				}
 				id++
 			}

@@ -47,7 +47,7 @@ func TestThreeDimensionalPlacement(t *testing.T) {
 	if err := pm.Host(disky); err != nil {
 		t.Fatal(err)
 	}
-	disky.State = cluster.VMRunning
+	dc.SetVMState(disky, cluster.VMRunning)
 
 	// A second disk-heavy VM cannot share that PM (disk exhausted).
 	disky2 := cluster.NewVM(2, vector.New(1, 0.5, 100), 10000, 10000, 0)
@@ -70,7 +70,7 @@ func TestThreeDimensionalConsolidation(t *testing.T) {
 		if err := dc.PM(cluster.PMID(i)).Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 	}
 	before := dc.NonIdleCount()
 	moves, err := Consolidate(ctx, DefaultFactors(), DefaultParams())
@@ -101,7 +101,7 @@ func TestThreeDimensionalEfficiencyLevels(t *testing.T) {
 		if err := pm.Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		if got := pm.UtilizationLevel(rmin); got != w {
 			t.Errorf("hosting %d minimal VMs -> level %d", w, got)
 		}

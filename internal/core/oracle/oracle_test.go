@@ -32,7 +32,7 @@ func fixture(t *testing.T) (*core.Context, []core.Factor, []*cluster.VM) {
 		if err := dc.PM(host).Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 		vms = append(vms, vm)
 	}
 	return core.NewContext(dc).At(100), core.DefaultFactors(), vms

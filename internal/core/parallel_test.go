@@ -26,7 +26,7 @@ func bigScenario(t *testing.T) (*Context, []*cluster.VM) {
 			if err := p.Host(vm); err != nil {
 				t.Fatal(err)
 			}
-			vm.State = cluster.VMRunning
+			dc.SetVMState(vm, cluster.VMRunning)
 			vms = append(vms, vm)
 			id++
 		}

@@ -104,7 +104,7 @@ func TestPriceFactorSteersConsolidation(t *testing.T) {
 		if err := dc.PM(cluster.PMID(i - 1)).Host(vm); err != nil { // PMs 0 and 1 (dear)
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc.SetVMState(vm, cluster.VMRunning)
 	}
 
 	moves, err := Consolidate(&Context{DC: dc, Now: 0}, factors, DefaultParams())

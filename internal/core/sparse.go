@@ -18,6 +18,15 @@ import (
 // re-derives only the two migration endpoints plus the columns their
 // membership events can actually affect.
 //
+// The engine is persistent: the consolidation path keeps one per Context
+// (Context.SparseEngine) and each pass feeds it only deltas — VMs that
+// entered or left the column set, PMs whose (version, state, reliability)
+// stamp changed. Its state is keyed by PM ID and by a per-VM column slot
+// that a VM keeps from the pass it joins until the pass it leaves, so a
+// join or a leave renumbers nothing. What it cannot reuse is p_vir: Eq. 3
+// reads the remaining runtime at the pass's clock, so every pass
+// recomputes each column's per-class vir and rescans its score groups.
+//
 // Every decision is bit-identical to the dense engine by construction:
 // group values are evaluated in cellDefault's multiplication order on
 // bit-identical operands, ties resolve to the lowest member ID (dense's
@@ -31,52 +40,75 @@ type SparseMatrix struct {
 	opts    MatrixOptions
 	cand    *candIndex
 
-	pms []*cluster.PM // active rows, ID ascending (dense row order)
-	vms []*cluster.VM // columns, ID ascending
+	// The positional view — the dense engine's row and column order — is
+	// what the exported methods and the Diff oracles speak: pms are the
+	// active PMs by ascending ID, vms the columns by ascending VM ID, and
+	// cols[c] the slot holding column c. sync re-derives it only when
+	// membership changed; vmsNext/colsNext are its double buffers.
+	pms      []*cluster.PM
+	id2row   []int32 // PM ID -> row index, -1 for inactive PMs
+	vms      []*cluster.VM
+	cols     []int32
+	vmsNext  []*cluster.VM
+	colsNext []int32
 
-	rowOf  map[cluster.PMID]int
-	id2row []int32 // PM ID -> row index, -1 for inactive PMs
+	// Per-PM state, indexed by PM ID. stamps is the engine's own
+	// staleness fingerprint (the candidate index keeps a separate one that
+	// arrival placements also advance). effH lazily memoizes the
+	// hosted-cell efficiency term (NaN = unset). hostCols[id] lists the
+	// slots hosted on the PM (maintained by refreshColumn), bestCols[id]
+	// the slots whose cached best is the PM (maintained by setBest);
+	// hostPos and bestPos are each slot's position in its list, -1 when
+	// absent — the reverse indices that let Apply enumerate exactly the
+	// columns a move invalidates instead of scanning all N.
+	stamps   []pmStamp
+	effH     []float64
+	hostCols [][]int32
+	bestCols [][]int32
 
-	colShape  []*candShape
-	shapeIdx  map[*candShape]int
-	shapeCols [][]int32 // columns per distinct shape, for targeted updates
-
-	// Column trackers, mirroring Matrix: curRow/curProb the current
-	// placement and its probability, bestRow/bestP/bestGain the best
-	// non-host alternative under the dense tie-break.
-	curRow   []int
+	// Per-slot column state. A free slot has a nil slotVM and zero gain,
+	// so Best never selects it. Trackers mirror Matrix: curPM/curProb the
+	// current placement and its probability, bestPM/bestP/bestGain the
+	// best non-host alternative under the dense tie-break (PM IDs, -1 for
+	// none).
+	slotVM   []*cluster.VM
+	slotPos  []int32 // slot -> column in the positional view
+	free     []int32
+	colShape []*candShape
+	shapePos []int32 // slot's position in shapeCols[colShape.id]
+	curPM    []int32
 	curProb  []float64
-	bestRow  []int
+	bestPM   []int32
 	bestP    []float64
 	bestGain []float64
 	colSeq   []uint64 // Apply seq that last re-derived the column in full
-
-	// Reverse indices so Apply can enumerate exactly the columns a move
-	// invalidates instead of scanning all N: hostCols[r] lists columns
-	// hosted on row r (maintained by refreshColumn), bestCols[r] the
-	// columns whose cached best is row r (maintained by setBest). hostPos
-	// and bestPos are each column's slot in its list, -1 when absent.
-	hostCols [][]int32
-	bestCols [][]int32
 	hostPos  []int32
 	bestPos  []int32
 
-	// vir memoizes the non-host virtualization penalty per (class index
-	// of the candidate index, column), like the dense kernel's slab.
-	vir []float64
+	// nextBest/nextP carry the parallel rescan's results to its serial
+	// install phase.
+	nextBest []int32
+	nextP    []float64
 
-	// effH lazily memoizes the hosted-cell efficiency term per row
-	// (NaN = unset); invalidated for the two endpoints of each Apply.
-	effH []float64
+	// shapeCols lists the slots of each demand shape, indexed by the
+	// candidate index's shape ID, for targeted join updates.
+	shapeCols [][]int32
 
-	// seq numbers Applies; candShape.seq/evFrom/evTo are valid for the
-	// current Apply only when they carry this value.
+	// vir memoizes the non-host virtualization penalty per (slot, class
+	// index of the candidate index), like the dense kernel's slab: ncls
+	// entries per slot, recomputed every pass.
+	vir  []float64
+	ncls int
+
+	// seq numbers Applies (drawn from the candidate index so engines
+	// sharing it never reuse a value); candShape.seq/evFrom/evTo are valid
+	// for the current Apply only when they carry this value.
 	seq uint64
 
-	// argmaxG/argmaxC are Best's reusable per-span reduction slots
-	// (one per fixed column span when the argmax runs on workers).
+	// argmaxG/argmaxS are Best's reusable per-span reduction slots
+	// (one per fixed slot span when the argmax runs on workers).
 	argmaxG []float64
-	argmaxC []int
+	argmaxS []int32
 }
 
 // canonicalDefault reports whether factors are exactly the paper's four in
@@ -92,11 +124,13 @@ func canonicalDefault(factors []Factor) bool {
 	return ok0 && ok1 && ok2 && ok3
 }
 
-// NewSparseMatrix builds the sparse engine over the data center's active
-// PMs and the given VMs. It requires the canonical default factor program
-// (canonicalDefault — anything else errors, the consolidation entry point
-// falls back to dense before getting here); the same VM-set preconditions
-// as NewMatrixWith apply (no duplicates, every VM hosted on an active PM).
+// NewSparseMatrix builds a stand-alone sparse engine over the data
+// center's active PMs and the given VMs. It requires the canonical default
+// factor program (canonicalDefault — anything else errors, the
+// consolidation entry point falls back to dense before getting here); the
+// same VM-set preconditions as NewMatrixWith apply (no duplicates, every
+// VM hosted on an active PM). The consolidation path does not call it: it
+// keeps the Context's persistent engine (SparseEngine) instead.
 func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*SparseMatrix, error) {
 	if ctx == nil || ctx.DC == nil {
 		return nil, fmt.Errorf("core: sparse matrix needs a context with a datacenter")
@@ -104,98 +138,215 @@ func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 	if !canonicalDefault(factors) {
 		return nil, fmt.Errorf("core: sparse matrix requires the canonical default factors")
 	}
-	sm := &SparseMatrix{
-		ctx:     ctx,
-		factors: factors,
-		opts:    opts,
-		cand:    ctx.candidatesWith(opts.Workers),
-		rowOf:   make(map[cluster.PMID]int, 64),
-	}
-	sm.pms = ctx.DC.AppendActivePMs(nil)
-	slices.SortFunc(sm.pms, func(a, b *cluster.PM) int { return int(a.ID) - int(b.ID) })
-	sm.id2row = make([]int32, len(sm.cand.pms))
-	for i := range sm.id2row {
-		sm.id2row[i] = -1
-	}
-	for r, pm := range sm.pms {
-		sm.rowOf[pm.ID] = r
-		sm.id2row[pm.ID] = int32(r)
-	}
-
-	sm.vms = append([]*cluster.VM(nil), vms...)
-	slices.SortFunc(sm.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
-	seen := make(map[cluster.VMID]struct{}, len(sm.vms))
-	for _, vm := range sm.vms {
-		if _, dup := seen[vm.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate VM %d in matrix", vm.ID)
-		}
-		seen[vm.ID] = struct{}{}
-		if _, ok := sm.rowOf[vm.Host]; !ok {
-			return nil, fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
+	sorted := slices.Clone(vms)
+	slices.SortFunc(sorted, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].ID == sorted[i-1].ID {
+			return nil, fmt.Errorf("core: duplicate VM %d in matrix", sorted[i].ID)
 		}
 	}
-
-	nc := len(sm.vms)
-	sm.colShape = make([]*candShape, nc)
-	sm.shapeIdx = make(map[*candShape]int, 16)
-	for c, vm := range sm.vms {
-		sh := sm.cand.shapeFor(vm.Demand)
-		sm.colShape[c] = sh
-		si, ok := sm.shapeIdx[sh]
-		if !ok {
-			si = len(sm.shapeCols)
-			sm.shapeIdx[sh] = si
-			sm.shapeCols = append(sm.shapeCols, nil)
-		}
-		sm.shapeCols[si] = append(sm.shapeCols[si], int32(c))
-		if sh.nonEmpty > opts.CandidateK {
-			ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
-		}
+	sm := newSparseMatrix(ctx, factors, opts)
+	if err := sm.sync(sorted); err != nil {
+		return nil, err
 	}
-
-	// Non-host virtualization memo per (candidate-index class, column):
-	// the same virProbability on the same operands as the dense kernel's
-	// per-(column, class) slab, so values are bit-identical. Register
-	// every fleet class first — membership only registers a class once
-	// one of its PMs is feasible for some shape, and a class surfacing
-	// mid-consolidation must not index past the slab.
-	for _, pm := range sm.cand.pms {
-		sm.cand.classFor(pm)
-	}
-	sm.vir = make([]float64, len(sm.cand.classes)*nc)
-	for c, vm := range sm.vms {
-		tre := vm.RemainingEstimate(ctx.Now)
-		for ci, cc := range sm.cand.classes {
-			overhead := cc.info.overhead
-			if vm.Host == cluster.NoPM {
-				overhead = cc.class.CreationTime
-			}
-			sm.vir[ci*nc+c] = virProbability(tre, overhead)
-		}
-	}
-
-	sm.curRow = make([]int, nc)
-	sm.curProb = make([]float64, nc)
-	sm.bestRow = make([]int, nc)
-	sm.bestP = make([]float64, nc)
-	sm.bestGain = make([]float64, nc)
-	sm.colSeq = make([]uint64, nc)
-	sm.hostCols = make([][]int32, len(sm.pms))
-	sm.bestCols = make([][]int32, len(sm.pms))
-	sm.hostPos = make([]int32, nc)
-	sm.bestPos = make([]int32, nc)
-	for c := range sm.vms {
-		sm.curRow[c] = -1
-		sm.bestRow[c] = -1
-		sm.hostPos[c] = -1
-		sm.bestPos[c] = -1
-	}
-	sm.effH = make([]float64, len(sm.pms))
-	for r := range sm.effH {
-		sm.effH[r] = math.NaN()
-	}
-	sm.initialSync()
 	return sm, nil
+}
+
+// SparseEngine returns the Context's persistent consolidation engine for
+// the canonical factor program, created on first use and synced to the
+// data center's running VMs at ctx.Now. The engine is derived data: a
+// restored simulation builds a fresh Context and so a fresh engine, and
+// nothing of it is checkpointed.
+func (ctx *Context) SparseEngine(factors []Factor, opts MatrixOptions) (*SparseMatrix, error) {
+	if !canonicalDefault(factors) {
+		return nil, fmt.Errorf("core: sparse matrix requires the canonical default factors")
+	}
+	if ctx.sparse == nil {
+		ctx.sparse = newSparseMatrix(ctx, factors, opts)
+	}
+	sm := ctx.sparse
+	sm.factors, sm.opts = factors, opts
+	if err := sm.sync(ctx.DC.Running()); err != nil {
+		return nil, err
+	}
+	return sm, nil
+}
+
+// newSparseMatrix allocates an empty engine sized to the fleet.
+func newSparseMatrix(ctx *Context, factors []Factor, opts MatrixOptions) *SparseMatrix {
+	x := ctx.candidatesWith(opts.Workers)
+	// Register every fleet class first: the vir layout is fixed at ncls
+	// entries per slot, and membership only registers a class once one of
+	// its PMs is feasible for some shape.
+	for _, pm := range x.pms {
+		x.classFor(pm)
+	}
+	m := len(x.pms)
+	sm := &SparseMatrix{
+		ctx:      ctx,
+		factors:  factors,
+		opts:     opts,
+		cand:     x,
+		id2row:   make([]int32, m),
+		stamps:   make([]pmStamp, m),
+		effH:     make([]float64, m),
+		hostCols: make([][]int32, m),
+		bestCols: make([][]int32, m),
+		ncls:     len(x.classes),
+	}
+	for id := range sm.effH {
+		sm.id2row[id] = -1
+		sm.effH[id] = math.NaN()
+	}
+	return sm
+}
+
+// sync brings the engine to the current fleet state with vms — ascending
+// ID, no duplicates — as its column set: PMs whose stamp changed drop
+// their efficiency memo, the row view follows power-state changes, VMs
+// join and leave their slots, and every column then re-derives vir and
+// its trackers at ctx.Now. A VM that is not hosted on an active PM is an
+// error, reported before any column is rescanned.
+func (sm *SparseMatrix) sync(vms []*cluster.VM) error {
+	sm.ctx.candidatesWith(sm.opts.Workers)
+	// The zero stamp matches no active PM, so the first sync derives the
+	// row view.
+	rowsDirty := false
+	for id, pm := range sm.cand.pms {
+		st := stampOf(pm)
+		if st == sm.stamps[id] {
+			continue
+		}
+		sm.stamps[id] = st
+		sm.effH[id] = math.NaN()
+		if active := pm.State == cluster.PMOn || pm.State == cluster.PMBooting; active != (sm.id2row[id] >= 0) {
+			rowsDirty = true
+		}
+	}
+	if rowsDirty {
+		sm.pms = sm.ctx.DC.AppendActivePMs(sm.pms[:0])
+		for id := range sm.id2row {
+			sm.id2row[id] = -1
+		}
+		for r, pm := range sm.pms {
+			sm.id2row[pm.ID] = int32(r)
+		}
+	}
+	sm.syncColumns(vms)
+	for _, vm := range sm.vms {
+		if h := vm.Host; h < 0 || int(h) >= len(sm.id2row) || sm.id2row[h] < 0 {
+			return fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
+		}
+	}
+	if sm.ctx.Obs != nil {
+		for _, s := range sm.cols {
+			if sm.colShape[s].nonEmpty > sm.opts.CandidateK {
+				sm.ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
+			}
+		}
+	}
+	sm.refreshAll()
+	return nil
+}
+
+// syncColumns makes vms the column set: a merge walk over the old and new
+// ID-ordered lists frees the slots of departed VMs and assigns slots to
+// arrivals; members present in both keep theirs.
+func (sm *SparseMatrix) syncColumns(vms []*cluster.VM) {
+	if slices.Equal(vms, sm.vms) {
+		return
+	}
+	nv, nc := sm.vmsNext[:0], sm.colsNext[:0]
+	i := 0
+	for _, vm := range vms {
+		for i < len(sm.vms) && sm.vms[i].ID < vm.ID {
+			sm.leave(sm.cols[i])
+			i++
+		}
+		if i < len(sm.vms) && sm.vms[i].ID == vm.ID {
+			if sm.vms[i] == vm {
+				nv, nc = append(nv, vm), append(nc, sm.cols[i])
+				i++
+				continue
+			}
+			sm.leave(sm.cols[i]) // same ID, different VM object
+			i++
+		}
+		nv, nc = append(nv, vm), append(nc, sm.join(vm))
+	}
+	for ; i < len(sm.vms); i++ {
+		sm.leave(sm.cols[i])
+	}
+	sm.vmsNext, sm.colsNext = sm.vms[:0], sm.cols[:0]
+	sm.vms, sm.cols = nv, nc
+	for c, s := range sm.cols {
+		sm.slotPos[s] = int32(c)
+	}
+}
+
+// join assigns vm a slot — a freed one when available — and registers it
+// with its demand shape. Its trackers are derived by the pass's rescan.
+func (sm *SparseMatrix) join(vm *cluster.VM) int32 {
+	var s int32
+	if n := len(sm.free); n > 0 {
+		s = sm.free[n-1]
+		sm.free = sm.free[:n-1]
+	} else {
+		s = int32(len(sm.slotVM))
+		sm.slotVM = append(sm.slotVM, nil)
+		sm.slotPos = append(sm.slotPos, -1)
+		sm.colShape = append(sm.colShape, nil)
+		sm.shapePos = append(sm.shapePos, -1)
+		sm.curPM = append(sm.curPM, -1)
+		sm.curProb = append(sm.curProb, 0)
+		sm.bestPM = append(sm.bestPM, -1)
+		sm.bestP = append(sm.bestP, 0)
+		sm.bestGain = append(sm.bestGain, 0)
+		sm.colSeq = append(sm.colSeq, 0)
+		sm.hostPos = append(sm.hostPos, -1)
+		sm.bestPos = append(sm.bestPos, -1)
+		sm.nextBest = append(sm.nextBest, -1)
+		sm.nextP = append(sm.nextP, 0)
+		for range sm.ncls {
+			sm.vir = append(sm.vir, 0)
+		}
+	}
+	sh := sm.cand.shapeFor(vm.Demand)
+	sm.slotVM[s], sm.colShape[s] = vm, sh
+	for int(sh.id) >= len(sm.shapeCols) {
+		sm.shapeCols = append(sm.shapeCols, nil)
+	}
+	sm.shapePos[s] = int32(len(sm.shapeCols[sh.id]))
+	sm.shapeCols[sh.id] = append(sm.shapeCols[sh.id], s)
+	return s
+}
+
+// leave frees slot s: it drops out of every reverse index and its shape's
+// slot list, and its zero gain keeps Best off it until a join reuses it.
+func (sm *SparseMatrix) leave(s int32) {
+	if r := sm.curPM[s]; r >= 0 {
+		sm.listMove(sm.hostCols, sm.hostPos, s, r, -1)
+	}
+	if r := sm.bestPM[s]; r >= 0 {
+		sm.listMove(sm.bestCols, sm.bestPos, s, r, -1)
+	}
+	sh := sm.colShape[s]
+	sm.listMove(sm.shapeCols, sm.shapePos, s, sh.id, -1)
+	sm.slotVM[s], sm.colShape[s] = nil, nil
+	sm.curPM[s], sm.bestPM[s] = -1, -1
+	sm.curProb[s], sm.bestP[s], sm.bestGain[s] = 0, 0, 0
+	sm.free = append(sm.free, s)
+}
+
+// fillVir recomputes slot s's per-class non-host virtualization penalty
+// at ctx.Now: the same virProbability on the same operands as the dense
+// kernel's per-(column, class) slab, so values are bit-identical.
+func (sm *SparseMatrix) fillVir(s int32) {
+	tre := sm.slotVM[s].RemainingEstimate(sm.ctx.Now)
+	v := sm.vir[int(s)*sm.ncls : (int(s)+1)*sm.ncls]
+	for ci := range v {
+		v[ci] = virProbability(tre, sm.cand.classes[ci].info.overhead)
+	}
 }
 
 // sparseParallelThreshold is the column count below which auto-sized
@@ -212,59 +363,43 @@ func (sm *SparseMatrix) sparseWorkers(n int) (workers, borrowed int) {
 	return claimWorkers(sm.opts.Workers, n)
 }
 
-// initialSync derives every column's trackers for the first time. The
-// serial path is one refreshColumn per column; above the threshold the
-// scan phase shards across workers in column spans — each column's
-// normalizer, best alternative, and gain land in that column's own slots,
-// with the per-row efficiency memo prewarmed so hostProb is read-only —
-// and the shared reverse indices are then installed serially in column
-// order, reproducing the serial loop's exact append order. Both paths are
-// bit-identical: per-column values come from the same scanColumn code on
-// the same operands.
-func (sm *SparseMatrix) initialSync() {
+// refreshAll re-derives every column's vir and trackers. The serial path
+// is one refreshColumn per column; above the threshold the scan phase
+// shards across workers in column spans — each column's vir, normalizer,
+// and best alternative land in that slot's own entries, with the per-PM
+// efficiency memo prewarmed so hostProb is read-only — and the shared
+// reverse indices are then updated serially in column order. Both paths
+// are bit-identical: per-column values come from the same scanColumn code
+// on the same operands.
+func (sm *SparseMatrix) refreshAll() {
 	nc := len(sm.vms)
 	workers, borrowed := sm.sparseWorkers(nc)
 	defer ReturnWorkers(borrowed)
 	if workers <= 1 {
-		for c := range sm.vms {
-			sm.refreshColumn(c)
+		for _, s := range sm.cols {
+			sm.fillVir(s)
+			sm.refreshColumn(s)
 		}
 		return
 	}
-	for r := range sm.pms {
-		sm.hostProb(r) // prewarm the effH memo: read-only below
+	for _, pm := range sm.pms {
+		sm.hostProb(int32(pm.ID)) // prewarm the effH memo: read-only below
 	}
 	runSpans(workers, nc, spanChunk(nc, workers), func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			vm := sm.vms[c]
-			h := int(vm.Host)
-			if h < 0 || h >= len(sm.id2row) || sm.id2row[h] < 0 {
-				panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
-			}
-			row := int(sm.id2row[h])
-			sm.curRow[c] = row
-			sm.curProb[c] = sm.hostProb(row)
-			bestRow, bestP := sm.scanColumn(c)
-			sm.bestRow[c] = bestRow
-			sm.bestP[c] = bestP
-			switch {
-			case bestRow < 0:
-				sm.bestGain[c] = 0
-			case sm.curProb[c] > 0:
-				sm.bestGain[c] = bestP / sm.curProb[c]
-			default:
-				sm.bestGain[c] = math.Inf(1)
-			}
+		for _, s := range sm.cols[lo:hi] {
+			sm.fillVir(s)
+			host := int32(sm.slotVM[s].Host)
+			sm.curProb[s] = sm.hostProb(host)
+			sm.nextBest[s], sm.nextP[s] = sm.scanColumn(s, host)
 		}
 	})
-	for c := range sm.vms {
-		r := sm.curRow[c]
-		sm.hostPos[c] = int32(len(sm.hostCols[r]))
-		sm.hostCols[r] = append(sm.hostCols[r], int32(c))
-		if br := sm.bestRow[c]; br >= 0 {
-			sm.bestPos[c] = int32(len(sm.bestCols[br]))
-			sm.bestCols[br] = append(sm.bestCols[br], int32(c))
+	for _, s := range sm.cols {
+		sm.colSeq[s] = sm.seq
+		if host := int32(sm.slotVM[s].Host); sm.curPM[s] != host {
+			sm.listMove(sm.hostCols, sm.hostPos, s, sm.curPM[s], host)
+			sm.curPM[s] = host
 		}
+		sm.setBest(s, sm.nextBest[s], sm.nextP[s])
 	}
 }
 
@@ -280,53 +415,58 @@ func (sm *SparseMatrix) PM(r int) *cluster.PM { return sm.pms[r] }
 // VM returns the virtual machine at column c.
 func (sm *SparseMatrix) VM(c int) *cluster.VM { return sm.vms[c] }
 
-// hostProb returns the hosted-cell probability for row r, in cellDefault's
+// rowOf maps a tracked PM ID (or -1 for none) to its row.
+func (sm *SparseMatrix) rowOf(id int32) int {
+	if id < 0 {
+		return -1
+	}
+	return int(sm.id2row[id])
+}
+
+// hostProb returns the hosted-cell probability for PM id, in cellDefault's
 // exact form: reliability times the hosted efficiency term, memoized per
-// row.
-func (sm *SparseMatrix) hostProb(r int) float64 {
-	pm := sm.pms[r]
+// PM.
+func (sm *SparseMatrix) hostProb(id int32) float64 {
+	pm := sm.cand.pms[id]
 	rel := pm.Reliability
 	if rel == 0 {
 		return 0
 	}
-	if math.IsNaN(sm.effH[r]) {
-		sm.effH[r] = effProbability(sm.ctx.classInfoFor(pm), pm.Utilization())
+	if math.IsNaN(sm.effH[id]) {
+		sm.effH[id] = effProbability(sm.ctx.classInfoFor(pm), pm.Utilization())
 	}
-	return rel * sm.effH[r]
+	return rel * sm.effH[id]
 }
 
-// refreshColumn re-derives column c's trackers from scratch: the current
-// placement normalizer and a scan over the shape's score groups.
-func (sm *SparseMatrix) refreshColumn(c int) {
-	vm := sm.vms[c]
-	// id2row instead of the rowOf map: this lookup runs once per repaired
-	// column per Apply and the map hash dominated the repair profile.
-	h := int(vm.Host)
-	if h < 0 || h >= len(sm.id2row) || sm.id2row[h] < 0 {
+// refreshColumn re-derives slot s's trackers from scratch: the current
+// placement normalizer and a scan over the shape's score groups. vir must
+// be current.
+func (sm *SparseMatrix) refreshColumn(s int32) {
+	vm := sm.slotVM[s]
+	host := int32(vm.Host)
+	if host < 0 || int(host) >= len(sm.id2row) || sm.id2row[host] < 0 {
 		panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
 	}
-	row := int(sm.id2row[h])
-	sm.colSeq[c] = sm.seq
-	if old := sm.curRow[c]; old != row {
-		sm.listMove(sm.hostCols, sm.hostPos, c, old, row)
-		sm.curRow[c] = row
+	sm.colSeq[s] = sm.seq
+	if old := sm.curPM[s]; old != host {
+		sm.listMove(sm.hostCols, sm.hostPos, s, old, host)
+		sm.curPM[s] = host
 	}
-	sm.curProb[c] = sm.hostProb(row)
-	bestRow, bestP := sm.scanColumn(c)
-	sm.setBest(c, bestRow, bestP)
+	sm.curProb[s] = sm.hostProb(host)
+	bestPM, bestP := sm.scanColumn(s, host)
+	sm.setBest(s, bestPM, bestP)
 }
 
-// scanColumn computes column c's best non-host alternative over the
-// shape's score groups: the lowest-ID feasible PM maximizing the raw
-// probability when the normalizer is positive, or the lowest-ID PM with
-// any positive probability for a +Inf rescue column — exactly the dense
-// refreshColumns rules.
-func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
-	sh := sm.colShape[c]
-	hostID := int32(sm.pms[sm.curRow[c]].ID)
-	cur := sm.curProb[c]
-	nc := len(sm.vms)
-	bestID := int32(-1)
+// scanColumn computes slot s's best non-host alternative over the shape's
+// score groups given its host and current normalizer: the lowest-ID
+// feasible PM maximizing the raw probability when the normalizer is
+// positive, or the lowest-ID PM with any positive probability for a +Inf
+// rescue column — exactly the dense refreshColumns rules.
+func (sm *SparseMatrix) scanColumn(s, hostID int32) (bestPM int32, bestP float64) {
+	sh := sm.colShape[s]
+	cur := sm.curProb[s]
+	vir := sm.vir[int(s)*sm.ncls : (int(s)+1)*sm.ncls]
+	bestPM = -1
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
 		m := g.members
@@ -340,7 +480,7 @@ func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
 			}
 			cand = m[1]
 		}
-		p := sm.vir[int(g.key.ci)*nc+c]
+		p := vir[g.key.ci]
 		if p == 0 {
 			continue
 		}
@@ -350,126 +490,142 @@ func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
 		}
 		p = p * g.effVal
 		if cur > 0 {
-			if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
-				bestP, bestID = p, cand
+			if p > bestP || (p == bestP && bestPM >= 0 && cand < bestPM) {
+				bestP, bestPM = p, cand
 			}
-		} else if p > 0 && (bestID < 0 || cand < bestID) {
-			bestP, bestID = p, cand
+		} else if p > 0 && (bestPM < 0 || cand < bestPM) {
+			bestP, bestPM = p, cand
 		}
 	}
-	if bestID < 0 {
+	if bestPM < 0 {
 		return -1, 0
 	}
-	return int(sm.id2row[bestID]), bestP
+	return bestPM, bestP
 }
 
-// listMove relocates column c from lists[from] to lists[to] (either may be
-// -1 for absent), swap-removing and keeping pos — each column's slot in its
-// current list — consistent.
-func (sm *SparseMatrix) listMove(lists [][]int32, pos []int32, c, from, to int) {
+// listMove relocates slot s from lists[from] to lists[to] (either may be
+// -1 for absent), swap-removing and keeping pos — each slot's position in
+// its current list — consistent.
+func (sm *SparseMatrix) listMove(lists [][]int32, pos []int32, s, from, to int32) {
 	if from >= 0 {
-		cols := lists[from]
-		i := pos[c]
-		last := int32(len(cols) - 1)
-		moved := cols[last]
-		cols[i] = moved
+		l := lists[from]
+		i := pos[s]
+		last := int32(len(l) - 1)
+		moved := l[last]
+		l[i] = moved
 		pos[moved] = i
-		lists[from] = cols[:last]
+		lists[from] = l[:last]
 	}
 	if to >= 0 {
-		pos[c] = int32(len(lists[to]))
-		lists[to] = append(lists[to], int32(c))
+		pos[s] = int32(len(lists[to]))
+		lists[to] = append(lists[to], s)
 	} else {
-		pos[c] = -1
+		pos[s] = -1
 	}
 }
 
-// setBest installs a freshly computed (bestRow, bestP) pair and the
-// derived gain for column c, without touching the heap.
-func (sm *SparseMatrix) setBest(c, bestRow int, bestP float64) {
-	if old := sm.bestRow[c]; old != bestRow {
-		sm.listMove(sm.bestCols, sm.bestPos, c, old, bestRow)
-		sm.bestRow[c] = bestRow
+// setBest installs a freshly computed (bestPM, bestP) pair and the derived
+// gain for slot s.
+func (sm *SparseMatrix) setBest(s, bestPM int32, bestP float64) {
+	if old := sm.bestPM[s]; old != bestPM {
+		sm.listMove(sm.bestCols, sm.bestPos, s, old, bestPM)
+		sm.bestPM[s] = bestPM
 	}
-	sm.bestP[c] = bestP
+	sm.bestP[s] = bestP
 	switch {
-	case bestRow < 0:
-		sm.bestGain[c] = 0
-	case sm.curProb[c] > 0:
-		sm.bestGain[c] = bestP / sm.curProb[c]
+	case bestPM < 0:
+		sm.bestGain[s] = 0
+	case sm.curProb[s] > 0:
+		sm.bestGain[s] = bestP / sm.curProb[s]
 	default:
-		sm.bestGain[c] = math.Inf(1)
+		sm.bestGain[s] = math.Inf(1)
 	}
 }
 
 // CurProb returns column c's normalizer, mirroring Matrix.CurProb.
-func (sm *SparseMatrix) CurProb(c int) float64 { return sm.curProb[c] }
+func (sm *SparseMatrix) CurProb(c int) float64 { return sm.curProb[sm.cols[c]] }
 
 // BestAlt returns the tracked best non-host row of column c and its gain,
 // mirroring Matrix.BestAlt.
 func (sm *SparseMatrix) BestAlt(c int) (row int, gain float64) {
-	return sm.bestRow[c], sm.bestGain[c]
+	s := sm.cols[c]
+	return sm.rowOf(sm.bestPM[s]), sm.bestGain[s]
 }
 
 // Best returns the globally maximal normalized gain and its (row, col),
-// with Matrix.Best's exact contract and tie-breaks. Unlike the dense
-// engine there is no gain heap to maintain: Best runs once per
-// consolidation round, so a sequential argmax over the gain slice
-// (~N contiguous loads) is cheaper than paying O(log N) heap repairs for
-// each of the hundreds of columns an Apply re-derives. The strict
-// greater-than keeps the first maximum, which is the dense heap's
-// (gain desc, column asc) order.
-//
-// With workers, the argmax splits into fixed contiguous column spans with
-// one result slot per span (indexed by span, not by worker, so scheduling
-// cannot reorder results) merged in span order under the same strict
-// greater-than — the first maximum wins within a span and across spans,
-// so the answer is bit-identical to the serial scan at any worker count.
+// with Matrix.Best's exact contract and tie-breaks.
 func (sm *SparseMatrix) Best() (r, c int, gain float64, ok bool) {
+	pm, s, gain, ok := sm.best()
+	if !ok {
+		return -1, -1, 0, false
+	}
+	return sm.rowOf(pm), int(sm.slotPos[s]), gain, true
+}
+
+// best is Best in the engine's own keys: the target PM ID and the slot.
+// Unlike the dense engine there is no gain heap to maintain: Best runs
+// once per consolidation round, so a sequential argmax over the gain slice
+// (~N contiguous loads) is cheaper than paying O(log N) heap repairs for
+// each of the hundreds of columns an Apply re-derives. Ties go to the
+// lower VM ID, which is the dense heap's (gain desc, column asc) order.
+//
+// With workers, the argmax splits into fixed contiguous slot spans with
+// one result entry per span (indexed by span, not by worker, so scheduling
+// cannot reorder results) merged under the same order, so the answer is
+// bit-identical to the serial scan at any worker count.
+func (sm *SparseMatrix) best() (pm, s int32, gain float64, ok bool) {
 	n := len(sm.bestGain)
-	col, best := -1, 0.0
+	bs, bg := int32(-1), 0.0
 	workers, borrowed := sm.sparseWorkers(n)
 	if workers > 1 {
 		span := (n + workers - 1) / workers
 		nspans := (n + span - 1) / span
 		if cap(sm.argmaxG) < nspans {
 			sm.argmaxG = make([]float64, nspans)
-			sm.argmaxC = make([]int, nspans)
+			sm.argmaxS = make([]int32, nspans)
 		}
-		slotG, slotC := sm.argmaxG[:nspans], sm.argmaxC[:nspans]
+		spanG, spanS := sm.argmaxG[:nspans], sm.argmaxS[:nspans]
 		runSpans(workers, n, span, func(_, lo, hi int) {
-			bg, bc := 0.0, -1
-			for c2 := lo; c2 < hi; c2++ {
-				if g := sm.bestGain[c2]; g > bg {
-					bg, bc = g, c2
-				}
-			}
-			si := lo / span
-			slotG[si], slotC[si] = bg, bc
+			g, s := sm.argmax(lo, hi)
+			spanG[lo/span], spanS[lo/span] = g, s
 		})
-		for si := 0; si < nspans; si++ {
-			if slotG[si] > best {
-				best, col = slotG[si], slotC[si]
+		for i := range spanG {
+			if g, s := spanG[i], spanS[i]; g > bg || (g == bg && bs >= 0 && s >= 0 && sm.slotVM[s].ID < sm.slotVM[bs].ID) {
+				bg, bs = g, s
 			}
 		}
 	} else {
-		for c2, g := range sm.bestGain {
-			if g > best {
-				best, col = g, c2
-			}
-		}
+		bg, bs = sm.argmax(0, n)
 	}
 	ReturnWorkers(borrowed)
-	if col < 0 || sm.bestRow[col] < 0 {
+	if bs < 0 || sm.bestPM[bs] < 0 {
 		return -1, -1, 0, false
 	}
-	return sm.bestRow[col], col, best, true
+	return sm.bestPM[bs], bs, bg, true
+}
+
+// argmax returns the slot in [lo, hi) with the largest positive gain, ties
+// to the lower VM ID, or -1 when none is positive.
+func (sm *SparseMatrix) argmax(lo, hi int) (float64, int32) {
+	bs, bg := int32(-1), 0.0
+	for s := lo; s < hi; s++ {
+		if g := sm.bestGain[s]; g > bg || (g == bg && bs >= 0 && sm.slotVM[s].ID < sm.slotVM[bs].ID) {
+			bg, bs = g, int32(s)
+		}
+	}
+	return bg, bs
 }
 
 // Apply performs the move for column c to row r and incrementally repairs
-// the trackers. The fleet is mutated exactly as Matrix.Apply mutates it;
-// the repair re-derives only the two endpoint PMs' group memberships and
-// the columns those membership events can affect:
+// the trackers; see apply.
+func (sm *SparseMatrix) Apply(r, c int) error {
+	return sm.apply(int32(sm.pms[r].ID), sm.cols[c])
+}
+
+// apply moves slot s's VM to PM toID. The fleet is mutated exactly as
+// Matrix.Apply mutates it; the repair re-derives only the two endpoint
+// PMs' group memberships and the columns those membership events can
+// actually affect:
 //
 //   - the moved column and every column hosted on an endpoint re-derive in
 //     full (their normalizer changed);
@@ -480,10 +636,11 @@ func (sm *SparseMatrix) Best() (r, c int, gain float64, ok bool) {
 //     members is tested against each remaining column of the shape in
 //     O(1) — the only way an untouched column's best can improve, since a
 //     pre-Apply-exact tracker already dominates every standing group.
-func (sm *SparseMatrix) Apply(r, c int) error {
-	vm := sm.vms[c]
-	from := sm.pms[sm.curRow[c]]
-	to := sm.pms[r]
+func (sm *SparseMatrix) apply(toID, s int32) error {
+	vm := sm.slotVM[s]
+	x := sm.cand
+	rF, rT := sm.curPM[s], toID
+	from, to := x.pms[rF], x.pms[rT]
 	if err := from.Evict(vm); err != nil {
 		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
 	}
@@ -495,12 +652,12 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 	}
 	vm.Migrations++
 
-	rF, rT := sm.curRow[c], r
-	sm.seq++
-	x := sm.cand
+	x.seq++
+	sm.seq = x.seq
 	x.events = x.events[:0]
-	x.syncPM(int32(from.ID))
-	x.syncPM(int32(to.ID))
+	x.syncPM(rF)
+	x.syncPM(rT)
+	sm.stamps[rF], sm.stamps[rT] = x.stamps[rF], x.stamps[rT]
 	sm.effH[rF] = math.NaN()
 	sm.effH[rT] = math.NaN()
 
@@ -511,7 +668,7 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 			sh.seq = sm.seq
 			sh.evFrom, sh.evTo = false, false
 		}
-		if ev.pm == int32(from.ID) {
+		if ev.pm == rF {
 			sh.evFrom = true
 		} else {
 			sh.evTo = true
@@ -520,16 +677,16 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 
 	// Targeted repair via the reverse indices. Each loop tolerates the
 	// swap-removals its own refreshes perform on the list it is walking:
-	// when the element at slot i changes, the slot is re-tested; colSeq
-	// bounds every column to one re-derivation per Apply, so both loops
-	// terminate. The moved column itself sits in hostCols[rF] until its
-	// refresh re-homes it.
-	for _, r2 := range [2]int{rF, rT} {
+	// when the element at position i changes, the position is re-tested;
+	// colSeq bounds every column to one re-derivation per Apply, so both
+	// loops terminate. The moved column itself sits in hostCols[rF] until
+	// its refresh re-homes it.
+	for _, r2 := range [2]int32{rF, rT} {
 		for i := 0; i < len(sm.hostCols[r2]); {
-			c2 := int(sm.hostCols[r2][i])
-			if sm.colSeq[c2] != sm.seq {
-				sm.refreshColumn(c2)
-				if i < len(sm.hostCols[r2]) && int(sm.hostCols[r2][i]) != c2 {
+			s2 := sm.hostCols[r2][i]
+			if sm.colSeq[s2] != sm.seq {
+				sm.refreshColumn(s2)
+				if i < len(sm.hostCols[r2]) && sm.hostCols[r2][i] != s2 {
 					continue
 				}
 			}
@@ -537,16 +694,16 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 		}
 	}
 	for _, e := range [2]struct {
-		row  int
+		pm   int32
 		from bool
 	}{{rF, true}, {rT, false}} {
-		for i := 0; i < len(sm.bestCols[e.row]); {
-			c2 := int(sm.bestCols[e.row][i])
-			sh := sm.colShape[c2]
-			if sm.colSeq[c2] != sm.seq && sh.seq == sm.seq &&
+		for i := 0; i < len(sm.bestCols[e.pm]); {
+			s2 := sm.bestCols[e.pm][i]
+			sh := sm.colShape[s2]
+			if sm.colSeq[s2] != sm.seq && sh.seq == sm.seq &&
 				((e.from && sh.evFrom) || (!e.from && sh.evTo)) {
-				sm.refreshColumn(c2)
-				if i < len(sm.bestCols[e.row]) && int(sm.bestCols[e.row][i]) != c2 {
+				sm.refreshColumn(s2)
+				if i < len(sm.bestCols[e.pm]) && sm.bestCols[e.pm][i] != s2 {
 					continue
 				}
 			}
@@ -567,12 +724,10 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 			continue
 		}
 		// The index may track shapes no column here uses (interned by
-		// arrival placements); their events cannot affect this matrix.
-		si, ok := sm.shapeIdx[ev.shape]
-		if !ok {
-			continue
+		// arrival placements); their events cannot affect this engine.
+		if int(ev.shape.id) < len(sm.shapeCols) {
+			sm.joinUpdate(sm.shapeCols[ev.shape.id], g)
 		}
-		sm.joinUpdate(si, g)
 	}
 
 	if sm.opts.SelfAudit {
@@ -584,29 +739,26 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 }
 
 // joinUpdate tests one group — whose candidate member just changed — as an
-// improved best against every column of its shape. Columns already exactly
-// re-derived this Apply are unaffected: for them the group's value is
-// already dominated by the tracker, so the strict-improvement test is a
+// improved best against every listed slot of its shape. Columns already
+// exactly re-derived this Apply are unaffected: for them the group's value
+// is already dominated by the tracker, so the strict-improvement test is a
 // no-op.
-func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
-	nc := len(sm.vms)
-	for _, c32 := range sm.shapeCols[si] {
-		c := int(c32)
+func (sm *SparseMatrix) joinUpdate(slots []int32, g *candGroup) {
+	for _, s := range slots {
 		// A column re-derived this Apply is exact: scanColumn already
 		// covered every standing group, so strict improvement is
 		// impossible and the test below would be a guaranteed no-op.
-		if sm.colSeq[c] == sm.seq {
+		if sm.colSeq[s] == sm.seq {
 			continue
 		}
-		hostID := int32(sm.pms[sm.curRow[c]].ID)
 		cand := g.members[0]
-		if cand == hostID {
+		if cand == sm.curPM[s] {
 			if len(g.members) < 2 {
 				continue
 			}
 			cand = g.members[1]
 		}
-		p := sm.vir[int(g.key.ci)*nc+c]
+		p := sm.vir[int(s)*sm.ncls+int(g.key.ci)]
 		if p == 0 {
 			continue
 		}
@@ -615,81 +767,101 @@ func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
 			continue
 		}
 		p = p * g.effVal
-		if sm.curProb[c] > 0 {
-			if p > sm.bestP[c] ||
-				(p == sm.bestP[c] && p > 0 && sm.bestRow[c] >= 0 && int(sm.id2row[cand]) < sm.bestRow[c]) {
-				sm.setBest(c, int(sm.id2row[cand]), p)
+		if sm.curProb[s] > 0 {
+			if p > sm.bestP[s] ||
+				(p == sm.bestP[s] && p > 0 && sm.bestPM[s] >= 0 && cand < sm.bestPM[s]) {
+				sm.setBest(s, cand, p)
 			}
-		} else if p > 0 {
-			candRow := int(sm.id2row[cand])
-			if sm.bestRow[c] < 0 || candRow < sm.bestRow[c] {
-				sm.setBest(c, candRow, p)
-			}
+		} else if p > 0 && (sm.bestPM[s] < 0 || cand < sm.bestPM[s]) {
+			sm.setBest(s, cand, p)
 		}
 	}
 }
 
 // SelfCheck re-derives every column tracker from a fresh group scan and
-// validates the reverse indices and the candidate index's internal
-// structure, reporting the first divergence — the incremental Apply repair must never
-// drift from a from-scratch derivation.
+// validates the slot bookkeeping, the reverse indices and the candidate
+// index's internal structure, reporting the first divergence — the
+// incremental Apply repair and the per-pass deltas must never drift from a
+// from-scratch derivation.
 func (sm *SparseMatrix) SelfCheck() error {
 	for c, vm := range sm.vms {
-		row, ok := sm.rowOf[vm.Host]
-		if !ok {
+		s := sm.cols[c]
+		if sm.slotVM[s] != vm || sm.slotPos[s] != int32(c) {
+			return fmt.Errorf("core: column %d (VM %d) slot %d holds another column", c, vm.ID, s)
+		}
+		if c > 0 && sm.vms[c-1].ID >= vm.ID {
+			return fmt.Errorf("core: columns %d and %d out of VM ID order", c-1, c)
+		}
+		h := vm.Host
+		if h < 0 || int(h) >= len(sm.id2row) || sm.id2row[h] < 0 {
 			return fmt.Errorf("core: column %d (VM %d) hosted on PM %d outside the matrix", c, vm.ID, vm.Host)
 		}
-		if sm.curRow[c] != row {
-			return fmt.Errorf("core: column %d curRow %d, want %d", c, sm.curRow[c], row)
+		if sm.curPM[s] != int32(h) {
+			return fmt.Errorf("core: column %d curPM %d, want %d", c, sm.curPM[s], h)
 		}
-		pm := sm.pms[row]
+		pm := sm.cand.pms[h]
 		want := 0.0
 		if pm.Reliability != 0 {
 			want = pm.Reliability * effProbability(sm.ctx.classInfoFor(pm), pm.Utilization())
 		}
-		if sm.curProb[c] != want {
-			return fmt.Errorf("core: column %d curProb %g, want %g", c, sm.curProb[c], want)
+		if sm.curProb[s] != want {
+			return fmt.Errorf("core: column %d curProb %g, want %g", c, sm.curProb[s], want)
 		}
-		bestRow, bestP := sm.scanColumn(c)
+		bestPM, bestP := sm.scanColumn(s, int32(h))
 		gain := 0.0
 		switch {
-		case bestRow < 0:
-		case sm.curProb[c] > 0:
-			gain = bestP / sm.curProb[c]
+		case bestPM < 0:
+		case sm.curProb[s] > 0:
+			gain = bestP / sm.curProb[s]
 		default:
 			gain = math.Inf(1)
 		}
-		if sm.bestRow[c] != bestRow || sm.bestGain[c] != gain {
-			return fmt.Errorf("core: column %d tracker (row %d, gain %g) != rescan (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], bestRow, gain)
+		if sm.bestPM[s] != bestPM || sm.bestGain[s] != gain {
+			return fmt.Errorf("core: column %d tracker (PM %d, gain %g) != rescan (PM %d, gain %g)",
+				c, sm.bestPM[s], sm.bestGain[s], bestPM, gain)
 		}
-		if bestRow >= 0 && sm.bestP[c] != bestP {
-			return fmt.Errorf("core: column %d bestP %g != rescan %g", c, sm.bestP[c], bestP)
+		if bestPM >= 0 && sm.bestP[s] != bestP {
+			return fmt.Errorf("core: column %d bestP %g != rescan %g", c, sm.bestP[s], bestP)
 		}
-	}
-	nBest := 0
-	for c := range sm.vms {
-		r := sm.curRow[c]
-		if i := sm.hostPos[c]; i < 0 || int(i) >= len(sm.hostCols[r]) || sm.hostCols[r][i] != int32(c) {
-			return fmt.Errorf("core: column %d missing from hostCols[%d]", c, r)
+		if i := sm.hostPos[s]; i < 0 || int(i) >= len(sm.hostCols[h]) || sm.hostCols[h][i] != s {
+			return fmt.Errorf("core: column %d missing from hostCols[%d]", c, h)
 		}
-		if r := sm.bestRow[c]; r >= 0 {
-			nBest++
-			if i := sm.bestPos[c]; i < 0 || int(i) >= len(sm.bestCols[r]) || sm.bestCols[r][i] != int32(c) {
+		if r := sm.bestPM[s]; r >= 0 {
+			if i := sm.bestPos[s]; i < 0 || int(i) >= len(sm.bestCols[r]) || sm.bestCols[r][i] != s {
 				return fmt.Errorf("core: column %d missing from bestCols[%d]", c, r)
 			}
-		} else if sm.bestPos[c] != -1 {
-			return fmt.Errorf("core: column %d has no best row but bestPos %d", c, sm.bestPos[c])
+		} else if sm.bestPos[s] != -1 {
+			return fmt.Errorf("core: column %d has no best PM but bestPos %d", c, sm.bestPos[s])
+		}
+		sh := sm.colShape[s]
+		if i := sm.shapePos[s]; i < 0 || int(i) >= len(sm.shapeCols[sh.id]) || sm.shapeCols[sh.id][i] != s {
+			return fmt.Errorf("core: column %d missing from its shape's slot list", c)
 		}
 	}
-	nHost, nBestListed := 0, 0
-	for r := range sm.pms {
-		nHost += len(sm.hostCols[r])
-		nBestListed += len(sm.bestCols[r])
+	nHost, nBest, nShape, nBestWant := 0, 0, 0, 0
+	for id := range sm.hostCols {
+		nHost += len(sm.hostCols[id])
+		nBest += len(sm.bestCols[id])
 	}
-	if nHost != len(sm.vms) || nBestListed != nBest {
-		return fmt.Errorf("core: reverse index sizes (host %d, best %d) != (%d, %d)",
-			nHost, nBestListed, len(sm.vms), nBest)
+	for _, l := range sm.shapeCols {
+		nShape += len(l)
+	}
+	for _, s := range sm.cols {
+		if sm.bestPM[s] >= 0 {
+			nBestWant++
+		}
+	}
+	if nHost != len(sm.vms) || nShape != len(sm.vms) || nBest != nBestWant {
+		return fmt.Errorf("core: reverse index sizes (host %d, shape %d, best %d) != (%d, %d, %d)",
+			nHost, nShape, nBest, len(sm.vms), len(sm.vms), nBestWant)
+	}
+	if len(sm.free)+len(sm.vms) != len(sm.slotVM) {
+		return fmt.Errorf("core: %d free + %d live slots != %d slots", len(sm.free), len(sm.vms), len(sm.slotVM))
+	}
+	for _, s := range sm.free {
+		if sm.slotVM[s] != nil || sm.bestGain[s] != 0 {
+			return fmt.Errorf("core: free slot %d still holds a column", s)
+		}
 	}
 	return sm.checkIndex()
 }
@@ -751,22 +923,22 @@ func (sm *SparseMatrix) DiffDense(o *Matrix) error {
 			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, sm.pms[r].ID, o.pms[r].ID)
 		}
 	}
-	for c := range sm.vms {
-		if sm.vms[c].ID != o.vms[c].ID {
-			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, sm.vms[c].ID, o.vms[c].ID)
+	for c, vm := range sm.vms {
+		if vm.ID != o.vms[c].ID {
+			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, vm.ID, o.vms[c].ID)
 		}
 	}
-	for c := range sm.vms {
-		if sm.curRow[c] != o.curRow[c] || sm.curProb[c] != o.curProb[c] {
+	for c, s := range sm.cols {
+		if cur := sm.rowOf(sm.curPM[s]); cur != o.curRow[c] || sm.curProb[s] != o.curProb[c] {
 			return fmt.Errorf("core: column %d normalizer (row %d, p %g) vs dense (row %d, p %g)",
-				c, sm.curRow[c], sm.curProb[c], o.curRow[c], o.curProb[c])
+				c, cur, sm.curProb[s], o.curRow[c], o.curProb[c])
 		}
-		if sm.bestRow[c] != o.bestRow[c] || sm.bestGain[c] != o.bestGain[c] {
+		if best := sm.rowOf(sm.bestPM[s]); best != o.bestRow[c] || sm.bestGain[s] != o.bestGain[c] {
 			return fmt.Errorf("core: column %d best (row %d, gain %g) vs dense (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], o.bestRow[c], o.bestGain[c])
+				c, best, sm.bestGain[s], o.bestRow[c], o.bestGain[c])
 		}
-		if sm.bestRow[c] >= 0 && sm.bestP[c] != o.bestP[c] {
-			return fmt.Errorf("core: column %d bestP %g vs dense %g", c, sm.bestP[c], o.bestP[c])
+		if sm.bestPM[s] >= 0 && sm.bestP[s] != o.bestP[c] {
+			return fmt.Errorf("core: column %d bestP %g vs dense %g", c, sm.bestP[s], o.bestP[c])
 		}
 	}
 	mr, mc, mg, mok := sm.Best()
@@ -780,8 +952,9 @@ func (sm *SparseMatrix) DiffDense(o *Matrix) error {
 // DiffSparse compares two sparse engines tracker-for-tracker: dimensions,
 // row/column identities, normalizers, best alternatives, and the Best
 // extraction must all be bit-identical. It is the equivalence gate behind
-// the parallel-kernel tests and cmd/benchreport's 100k-PM scale point,
-// where a dense reference matrix (DiffDense) would not fit in memory.
+// the persistent-engine and parallel-kernel tests and cmd/benchreport's
+// 100k-PM scale point, where a dense reference matrix (DiffDense) would
+// not fit in memory.
 func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error {
 	if sm.Rows() != o.Rows() || sm.Cols() != o.Cols() {
 		return fmt.Errorf("core: sparse %dx%d != sparse %dx%d", sm.Rows(), sm.Cols(), o.Rows(), o.Cols())
@@ -791,20 +964,21 @@ func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error {
 			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, sm.pms[r].ID, o.pms[r].ID)
 		}
 	}
-	for c := range sm.vms {
-		if sm.vms[c].ID != o.vms[c].ID {
-			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, sm.vms[c].ID, o.vms[c].ID)
+	for c, vm := range sm.vms {
+		if vm.ID != o.vms[c].ID {
+			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, vm.ID, o.vms[c].ID)
 		}
-		if sm.curRow[c] != o.curRow[c] || sm.curProb[c] != o.curProb[c] {
-			return fmt.Errorf("core: column %d normalizer (row %d, p %g) vs (row %d, p %g)",
-				c, sm.curRow[c], sm.curProb[c], o.curRow[c], o.curProb[c])
+		s, t := sm.cols[c], o.cols[c]
+		if sm.curPM[s] != o.curPM[t] || sm.curProb[s] != o.curProb[t] {
+			return fmt.Errorf("core: column %d normalizer (PM %d, p %g) vs (PM %d, p %g)",
+				c, sm.curPM[s], sm.curProb[s], o.curPM[t], o.curProb[t])
 		}
-		if sm.bestRow[c] != o.bestRow[c] || sm.bestGain[c] != o.bestGain[c] {
-			return fmt.Errorf("core: column %d best (row %d, gain %g) vs (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], o.bestRow[c], o.bestGain[c])
+		if sm.bestPM[s] != o.bestPM[t] || sm.bestGain[s] != o.bestGain[t] {
+			return fmt.Errorf("core: column %d best (PM %d, gain %g) vs (PM %d, gain %g)",
+				c, sm.bestPM[s], sm.bestGain[s], o.bestPM[t], o.bestGain[t])
 		}
-		if sm.bestRow[c] >= 0 && sm.bestP[c] != o.bestP[c] {
-			return fmt.Errorf("core: column %d bestP %g vs %g", c, sm.bestP[c], o.bestP[c])
+		if sm.bestPM[s] >= 0 && sm.bestP[s] != o.bestP[t] {
+			return fmt.Errorf("core: column %d bestP %g vs %g", c, sm.bestP[s], o.bestP[t])
 		}
 	}
 	mr, mc, mg, mok := sm.Best()
@@ -838,16 +1012,20 @@ func (sm *SparseMatrix) verifyDense() error {
 // exactly the tracked best alternative; the property tests compare the
 // list against a dense column ranking.
 func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
-	sh := sm.colShape[c]
-	hostID := int32(sm.pms[sm.curRow[c]].ID)
-	nc := len(sm.vms)
+	return sm.shortlist(sm.cols[c], k)
+}
+
+func (sm *SparseMatrix) shortlist(s int32, k int) []Placement {
+	sh := sm.colShape[s]
+	hostID := sm.curPM[s]
+	vir := sm.vir[int(s)*sm.ncls : (int(s)+1)*sm.ncls]
 	var out []Placement
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
 		if len(g.members) == 0 {
 			continue
 		}
-		p := sm.vir[int(g.key.ci)*nc+c]
+		p := vir[g.key.ci]
 		if p == 0 {
 			continue
 		}
@@ -883,20 +1061,20 @@ func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
 }
 
 // columnAlternatives is the sparse twin of Matrix.ColumnAlternatives:
-// the column shortlist with each probability normalized by the current
-// placement, collapsing to the single tracked rescue row with +Inf gain
+// the slot's shortlist with each probability normalized by the current
+// placement, collapsing to the single tracked rescue PM with +Inf gain
 // when the current placement has probability 0. The decision hook in
 // consolidateSparse uses it so recorded alternatives carry the same
 // gain scale as the dense engine.
-func (sm *SparseMatrix) columnAlternatives(c, k int) []Placement {
-	cur := sm.curProb[c]
+func (sm *SparseMatrix) columnAlternatives(s int32, k int) []Placement {
+	cur := sm.curProb[s]
 	if cur <= 0 {
-		if r := sm.bestRow[c]; r >= 0 {
-			return []Placement{{PM: sm.pms[r], Probability: math.Inf(1)}}
+		if b := sm.bestPM[s]; b >= 0 {
+			return []Placement{{PM: sm.cand.pms[b], Probability: math.Inf(1)}}
 		}
 		return nil
 	}
-	out := sm.ColumnShortlist(c, k)
+	out := sm.shortlist(s, k)
 	for i := range out {
 		out[i].Probability /= cur
 	}
@@ -928,11 +1106,12 @@ func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]
 }
 
 // consolidateSparse is ConsolidateWith's candidate-set engine: the same
-// Algorithm 1 loop over a SparseMatrix. The caller has already verified
-// the canonical factor program and collected the running VMs.
-func consolidateSparse(ctx *Context, factors []Factor, params Params, opts MatrixOptions, vms []*cluster.VM) ([]Move, error) {
+// Algorithm 1 loop over the Context's persistent SparseMatrix. The caller
+// has already verified the canonical factor program. The kernel_build span
+// covers the per-pass sync and rescan.
+func consolidateSparse(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	stop := ctx.Obs.Phase("kernel_build").Time()
-	sm, err := NewSparseMatrix(ctx, factors, vms, opts)
+	sm, err := ctx.SparseEngine(factors, opts)
 	stop()
 	if err != nil {
 		return nil, err
@@ -940,18 +1119,18 @@ func consolidateSparse(ctx *Context, factors []Factor, params Params, opts Matri
 	stop = ctx.Obs.Phase("algo1_rounds").Time()
 	var moves []Move
 	for round := 1; round <= params.MIGRound; round++ {
-		r, c, gain, ok := sm.Best()
+		to, s, gain, ok := sm.best()
 		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
 			break
 		}
-		vm := sm.vms[c]
+		vm := sm.slotVM[s]
 		from := vm.Host
 		if opts.DecisionHook != nil {
 			opts.DecisionHook(round,
-				Move{VM: vm.ID, From: from, To: sm.pms[r].ID, Gain: gain, Round: round},
-				sm.columnAlternatives(c, topK))
+				Move{VM: vm.ID, From: from, To: cluster.PMID(to), Gain: gain, Round: round},
+				sm.columnAlternatives(s, topK))
 		}
-		if err := sm.Apply(r, c); err != nil {
+		if err := sm.apply(to, s); err != nil {
 			stop()
 			return moves, err
 		}

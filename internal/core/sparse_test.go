@@ -114,7 +114,7 @@ func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 	if err := host.Host(vm); err != nil {
 		t.Fatal(err)
 	}
-	vm.State = cluster.VMRunning
+	dc.SetVMState(vm, cluster.VMRunning)
 	host.Reliability = 0
 
 	ctx := NewContext(dc).At(100)

@@ -34,7 +34,7 @@ func TestWANFactorSameSiteNeutral(t *testing.T) {
 	wf := NewWANFactor("east", 5)
 	ctx := &Context{DC: dc, Now: 0}
 	vm := cluster.NewVM(1, vector.New(1, 0.5), 10000, 10000, 0)
-	mustHost(t, dc.PM(0), vm)
+	mustHost(t, dc, dc.PM(0), vm)
 	if got := wf.Probability(ctx, vm, dc.PM(1), false); got != 1 {
 		t.Errorf("same-site p_wan = %g, want 1", got)
 	}
@@ -62,7 +62,7 @@ func TestWANFactorCrossSitePenalty(t *testing.T) {
 	ctx := &Context{DC: dc, Now: 0}
 
 	vm := cluster.NewVM(1, vector.New(1, 0.5), 1600, 1600, 0)
-	mustHost(t, dc.PM(0), vm) // east
+	mustHost(t, dc, dc.PM(0), vm) // east
 	want := math.Pow((1600.0-160)/1600, 2)
 	if got := wf.Probability(ctx, vm, dc.PM(2), false); math.Abs(got-want) > 1e-12 {
 		t.Errorf("cross-site p_wan = %g, want %g", got, want)
@@ -70,7 +70,7 @@ func TestWANFactorCrossSitePenalty(t *testing.T) {
 
 	// Too little remaining time to ship across the WAN.
 	short := cluster.NewVM(2, vector.New(1, 0.5), 150, 150, 0)
-	mustHost(t, dc.PM(0), short)
+	mustHost(t, dc, dc.PM(0), short)
 	if got := wf.Probability(ctx, short, dc.PM(2), false); got != 0 {
 		t.Errorf("short-remaining cross-site p_wan = %g, want 0", got)
 	}
@@ -92,11 +92,11 @@ func TestWANFactorKeepsConsolidationLocal(t *testing.T) {
 	// WAN move only for long-lived VMs, and these are not.
 	a := cluster.NewVM(1, vector.New(2, 1), 3000, 3000, 0)
 	b := cluster.NewVM(2, vector.New(2, 1), 3000, 3000, 0)
-	mustHost(t, dc.PM(0), a)
-	mustHost(t, dc.PM(1), b)
+	mustHost(t, dc, dc.PM(0), a)
+	mustHost(t, dc, dc.PM(1), b)
 	// Make the west site attractive on pure efficiency: pre-load PM2.
 	w := cluster.NewVM(3, vector.New(4, 2), 3000, 3000, 0)
-	mustHost(t, dc.PM(2), w)
+	mustHost(t, dc, dc.PM(2), w)
 
 	moves, err := Consolidate(ctx, factors, DefaultParams())
 	if err != nil {

@@ -239,7 +239,7 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	if _, err := ConsolidateWith(ctx, factors, params, opts); err != nil {
 		t.Fatal(err)
 	}
-	nVMs := len(ctx.vmBuf)
+	nVMs := len(ctx.DC.Running())
 	if nVMs == 0 {
 		t.Fatal("bench state has no running VMs")
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -55,10 +56,11 @@ type Options struct {
 	// WeekTrace.
 	TraceGen func(seed int64) []workload.Request
 
-	// CandidateK, when positive, runs the dynamic scheme through the
-	// sparse candidate-set engine (core.MatrixOptions.CandidateK): top-K
-	// score-group placement, bit-identical to the dense kernel. Static
-	// schemes ignore it.
+	// CandidateK sets the dynamic scheme's candidate budget
+	// (core.MatrixOptions.CandidateK): positive runs the sparse
+	// candidate-set engine, bit-identical to the dense kernel that zero
+	// selects. DefaultOptions sets core.DefaultCandidateK. Static schemes
+	// ignore it.
 	CandidateK int
 
 	// KernelWorkers bounds the goroutines the dynamic scheme's placement
@@ -93,6 +95,7 @@ func DefaultOptions(seed int64) Options {
 		Seed:            seed,
 		Schemes:         []string{"first-fit", "best-fit", "dynamic"},
 		SpareForDynamic: true,
+		CandidateK:      core.DefaultCandidateK,
 	}
 }
 
@@ -134,7 +137,7 @@ func runPlacer(placer policy.Placer, wantSpare bool, reqs []workload.Request, op
 	if fleet == nil {
 		fleet = cluster.TableIIFleet
 	}
-	if d, ok := policy.DynamicOf(placer); ok && opts.CandidateK > 0 {
+	if d, ok := policy.DynamicOf(placer); ok {
 		d.Opts.CandidateK = opts.CandidateK
 	}
 	cfg := sim.Config{

@@ -146,7 +146,7 @@ func TestOverbookPlacementStaysPhysicallyFeasible(t *testing.T) {
 		if err := pm.Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		ctx.DC.SetVMState(vm, cluster.VMRunning)
 	}
 	// With 1.25x booked charges the fleet must saturate in booked terms
 	// before physical terms at some point, exercising the fallback; the
@@ -363,7 +363,7 @@ func TestReplayReproducesAndOverrides(t *testing.T) {
 			if err := pm.Host(vm); err != nil {
 				t.Fatal(err)
 			}
-			vm.State = cluster.VMRunning
+			ctx.DC.SetVMState(vm, cluster.VMRunning)
 			rec.SpareTarget(ctx, int(id))
 		}
 		log, err := ParseDecisionLog(bytes.NewReader(dec.Bytes()))
@@ -386,7 +386,7 @@ func TestReplayReproducesAndOverrides(t *testing.T) {
 		if err := pm.Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		ctx.DC.SetVMState(vm, cluster.VMRunning)
 		if got := rp.SpareTarget(ctx, int(id)); got != int(id) {
 			t.Fatalf("replay spare target %d, recorded %d", got, id)
 		}

@@ -352,9 +352,15 @@ type Dynamic struct {
 }
 
 // NewDynamic returns the scheme with the paper's default factors and
-// parameters.
+// parameters, evaluated by the sparse candidate-set engine
+// (Opts.CandidateK = core.DefaultCandidateK; decisions are bit-identical
+// to the dense kernel, which Opts.CandidateK = 0 selects).
 func NewDynamic() *Dynamic {
-	return &Dynamic{Factors: core.DefaultFactors(), Params: core.DefaultParams()}
+	return &Dynamic{
+		Factors: core.DefaultFactors(),
+		Params:  core.DefaultParams(),
+		Opts:    core.MatrixOptions{CandidateK: core.DefaultCandidateK},
+	}
 }
 
 // NewDynamicVariant builds an ablation variant with a custom label,

@@ -23,7 +23,7 @@ func dc(t *testing.T) (*cluster.Datacenter, *core.Context) {
 	if err := d.PM(1).Host(filler); err != nil {
 		t.Fatal(err)
 	}
-	filler.State = cluster.VMRunning
+	d.SetVMState(filler, cluster.VMRunning)
 	return d, &core.Context{DC: d, Now: 0}
 }
 
@@ -128,7 +128,7 @@ func TestDynamicConsolidateMigrates(t *testing.T) {
 	if err := d.PM(2).Host(stray); err != nil {
 		t.Fatal(err)
 	}
-	stray.State = cluster.VMRunning
+	d.SetVMState(stray, cluster.VMRunning)
 
 	moves, err := NewDynamic().Consolidate(ctx)
 	if err != nil {

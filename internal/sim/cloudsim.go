@@ -331,6 +331,10 @@ type simulator struct {
 	arrived int
 	tickRan bool
 
+	// stepErr holds the first policy error raised while dispatching the
+	// current event; stepOnce returns and clears it.
+	stepErr error
+
 	// tracing gates structured event emission so disabled runs never
 	// assemble event payloads; the counters and spans below are cached
 	// registry pointers (nil-safe no-ops without an observer).
@@ -490,6 +494,10 @@ func (s *simulator) stepOnce() (bool, error) {
 	if !stepped {
 		return false, nil
 	}
+	if err := s.stepErr; err != nil {
+		s.stepErr = nil
+		return true, err
+	}
 	var simErr error
 	if s.cfg.CheckInvariants {
 		if err := s.dc.CheckInvariants(); err != nil {
@@ -610,7 +618,7 @@ func (s *simulator) onArrival(id cluster.VMID, req workload.Request) {
 		s.logf("queue    VM%-5d (no feasible active PM)", vm.ID)
 		s.enqueue(vm)
 	}
-	s.consolidate()
+	s.consolidate("arrival of VM", int64(vm.ID))
 }
 
 // tryPlace asks the placer for a host and, when found, starts VM creation.
@@ -624,7 +632,7 @@ func (s *simulator) tryPlace(vm *cluster.VM) bool {
 		// surfacing loudly rather than mis-accounting.
 		panic(fmt.Sprintf("sim: placer %s chose infeasible PM: %v", s.cfg.Placer.Name(), err))
 	}
-	vm.State = cluster.VMCreating
+	s.dc.SetVMState(vm, cluster.VMCreating)
 	now := s.eng.Now()
 	start := now
 	if ready, booting := s.bootReadyAt[pm.ID]; booting && ready > now {
@@ -790,7 +798,7 @@ func (s *simulator) onCreationDone(vm *cluster.VM) {
 	}
 	now := s.eng.Now()
 	s.meter.Advance(now)
-	vm.State = cluster.VMRunning
+	s.dc.SetVMState(vm, cluster.VMRunning)
 	vm.StartTime = now
 	s.lifeEvent[vm.ID] = s.eng.ScheduleTag(now+vm.ActualRuntime, Tag{Kind: evDeparture, Arg: int64(vm.ID)},
 		func() { s.onDeparture(vm) })
@@ -812,7 +820,7 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 	if err := host.Evict(vm); err != nil {
 		panic(fmt.Sprintf("sim: departure eviction failed: %v", err))
 	}
-	vm.State = cluster.VMFinished
+	s.dc.SetVMState(vm, cluster.VMFinished)
 	vm.FinishTime = now
 	delete(s.lifeEvent, vm.ID)
 	s.res.Summary.VMsCompleted++
@@ -827,7 +835,7 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 	s.logf("depart   VM%-5d from PM%d (%d migrations)", vm.ID, host.ID, vm.Migrations)
 
 	s.drainQueue()
-	s.consolidate()
+	s.consolidate("departure of VM", int64(vm.ID))
 }
 
 // policySpare routes the spare-pool control point through the placer
@@ -916,13 +924,13 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 		hold := s.holds[id]
 		s.releaseHold(id, hold)
 		if hold.vm.State == cluster.VMMigrating {
-			hold.vm.State = cluster.VMRunning
+			s.dc.SetVMState(hold.vm, cluster.VMRunning)
 		}
 	}
 	victims := pm.VMs()
 	for _, vm := range victims {
 		if vm.State == cluster.VMMigrating {
-			vm.State = cluster.VMRunning // hold already unwound above
+			s.dc.SetVMState(vm, cluster.VMRunning) // hold already unwound above
 		}
 		if ev, ok := s.lifeEvent[vm.ID]; ok {
 			ev.Cancel()
@@ -933,7 +941,7 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 		}
 		// Progress is lost: the VM restarts from scratch elsewhere,
 		// exactly as a re-submitted request would.
-		vm.State = cluster.VMQueued
+		s.dc.SetVMState(vm, cluster.VMQueued)
 		if !s.tryPlace(vm) {
 			s.enqueue(vm)
 		}
@@ -944,7 +952,7 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 	} else {
 		pm.State = cluster.PMOff
 	}
-	s.consolidate()
+	s.consolidate("failure of PM", int64(pm.ID))
 }
 
 func (s *simulator) onRepaired(pm *cluster.PM) {
@@ -990,11 +998,16 @@ func (s *simulator) drainQueue() {
 // consolidate runs the scheme's migration pass and tallies moves. Under
 // the timed-migration model each move additionally holds the VM's
 // resources on the source PM and parks the VM in the Migrating state until
-// the transfer window elapses.
-func (s *simulator) consolidate() {
+// the transfer window elapses. trigger and id name the event that ran the
+// pass; a policy error is kept in s.stepErr, with both and the simulated
+// time, for stepOnce to return.
+func (s *simulator) consolidate(trigger string, id int64) {
 	moves, err := s.cfg.Placer.Consolidate(s.ctx())
 	if err != nil {
-		panic(fmt.Sprintf("sim: consolidation failed: %v", err))
+		if s.stepErr == nil {
+			s.stepErr = fmt.Errorf("sim: consolidation after %s %d at t=%g: %w", trigger, id, s.eng.Now(), err)
+		}
+		return
 	}
 	if len(moves) == 0 {
 		return
@@ -1044,7 +1057,7 @@ func (s *simulator) beginTimedMigration(mv core.Move) {
 	if err := source.Reserve(vm.Demand); err != nil {
 		return
 	}
-	vm.State = cluster.VMMigrating
+	s.dc.SetVMState(vm, cluster.VMMigrating)
 	hold := &migrationHold{vm: vm, source: source, demand: vm.Demand.Clone()}
 	hold.done = s.eng.ScheduleTag(s.eng.Now()+s.dc.PM(mv.To).Class.MigrationTime,
 		Tag{Kind: evMigCutover, Arg: int64(vm.ID)}, func() {
@@ -1057,7 +1070,7 @@ func (s *simulator) finishTimedMigration(vm *cluster.VM, hold *migrationHold) {
 	s.meter.Advance(s.eng.Now())
 	s.releaseHold(vm.ID, hold)
 	if vm.State == cluster.VMMigrating {
-		vm.State = cluster.VMRunning
+		s.dc.SetVMState(vm, cluster.VMRunning)
 	}
 }
 

@@ -50,10 +50,10 @@ func TestRunByteIdenticalTrace(t *testing.T) {
 		var trace bytes.Buffer
 		sc := spare.DefaultConfig()
 		res, err := Run(Config{
-			DC:              smallFleet(),
-			Placer:          policy.NewDynamic(),
-			Requests:        mixedLoad(),
-			Spare:           &sc,
+			DC:       smallFleet(),
+			Placer:   policy.NewDynamic(),
+			Requests: mixedLoad(),
+			Spare:    &sc,
 			Failures: failure.Config{
 				MTBF: 4e4, RepairTime: 5000, Seed: 11,
 				ReliabilityDecay: 0.9, MinReliability: 0.5,
@@ -138,7 +138,7 @@ func TestMigratableVMsSorted(t *testing.T) {
 		if err := dc2.PM(cluster.PMID(i % dc2.Size())).Host(vm); err != nil {
 			t.Fatal(err)
 		}
-		vm.State = cluster.VMRunning
+		dc2.SetVMState(vm, cluster.VMRunning)
 	}
 	vms := core.MigratableVMs(dc2)
 	if len(vms) != len(ids) {

@@ -354,6 +354,9 @@ func (s *simulator) restore(st *simState) error {
 	// verification below, which catches any drift).
 	vmByID := make(map[cluster.VMID]*cluster.VM, len(st.VMs))
 	for _, vs := range st.VMs {
+		if _, dup := vmByID[vs.ID]; dup {
+			return fmt.Errorf("sim: snapshot lists VM %d twice", vs.ID)
+		}
 		vm := cluster.NewVM(vs.ID, vs.Demand, vs.Est, vs.Actual, vs.Submit)
 		vm.StartTime = vs.Start
 		vm.FinishTime = vs.Finish
@@ -367,7 +370,7 @@ func (s *simulator) restore(st *simState) error {
 				return fmt.Errorf("sim: snapshot re-host: %w", err)
 			}
 		}
-		vm.State = cluster.VMState(vs.State)
+		s.dc.SetVMState(vm, cluster.VMState(vs.State))
 		vmByID[vm.ID] = vm
 	}
 	for _, hs := range st.Holds {

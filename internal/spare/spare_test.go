@@ -24,7 +24,7 @@ func runVM(t *testing.T, dc *cluster.Datacenter, pm cluster.PMID, id cluster.VMI
 	if err := dc.PM(pm).Host(vm); err != nil {
 		t.Fatal(err)
 	}
-	vm.State = cluster.VMRunning
+	dc.SetVMState(vm, cluster.VMRunning)
 	vm.StartTime = start
 	return vm
 }
@@ -72,11 +72,11 @@ func TestPredictDepartures(t *testing.T) {
 func TestPredictDeparturesIgnoresNonRunning(t *testing.T) {
 	dc := testDC()
 	vm := runVM(t, dc, 0, 1, 0, 100)
-	vm.State = cluster.VMCreating
+	dc.SetVMState(vm, cluster.VMCreating)
 	if got := PredictDepartures(dc, 0, 3600); got != 0 {
 		t.Errorf("creating VM predicted to depart: %d", got)
 	}
-	vm.State = cluster.VMMigrating
+	dc.SetVMState(vm, cluster.VMMigrating)
 	if got := PredictDepartures(dc, 0, 3600); got != 1 {
 		t.Errorf("migrating VM should count: %d", got)
 	}
